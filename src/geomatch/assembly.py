@@ -208,38 +208,38 @@ def group_c_factor(desc: GroupDescriptor) -> Fraction:
 # local factors
 
 
-@lru_cache(maxsize=None)
-def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
-    """Normalized local orbital integral at the canonical trace-t element.
+def _at_canonical_element(value, level: int, t: int, p: int):
+    """value(x) at the canonical trace-t element x of Q_p.
 
-    Includes the norm-index prefactor; returns an exact rational.  Retries at
-    doubled precision if the default is too tight.
+    x is built at precision default_precision(t, p) + level, which is doubled
+    after each PrecisionExhausted, six tries in all.
     """
-    if abs(t) <= 2:
-        raise ValueError("hyperbolic traces only")
     M = default_precision(t, p) + level
     for _ in range(6):
         try:
-            torus = classify_torus(t, p, M)
-            x = torus_generator(torus, t)
-            return orbital(TestFunctionSpec(kind, level, include_norm_index=True), x).value
+            return value(torus_generator(classify_torus(t, p, M), t))
         except PrecisionExhausted:
             M *= 2
     raise PrecisionExhausted(f"local factor at p={p}, t={t} needs more than M={M}")
 
 
 @lru_cache(maxsize=None)
+def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
+    """Normalized local orbital integral at the canonical trace-t element.
+
+    Includes the norm-index prefactor; returns an exact rational.
+    """
+    if abs(t) <= 2:
+        raise ValueError("hyperbolic traces only")
+    spec = TestFunctionSpec(kind, level, include_norm_index=True)
+    return _at_canonical_element(lambda x: orbital(spec, x).value, level, t, p)
+
+
+@lru_cache(maxsize=None)
 def matched_local_factor(level: int, t: int, p: int) -> Fraction:
     """a_p O(f) + b_p O(g) at the canonical trace-t element (norm-indexed)."""
-    M = default_precision(t, p) + level
-    for _ in range(6):
-        try:
-            torus = classify_torus(t, p, M)
-            x = torus_generator(torus, t)
-            return matched_value(p, level, x, include_norm_index=True)
-        except PrecisionExhausted:
-            M *= 2
-    raise PrecisionExhausted(f"matched local factor at p={p}, t={t}")
+    return _at_canonical_element(
+        lambda x: matched_value(p, level, x, include_norm_index=True), level, t, p)
 
 
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:

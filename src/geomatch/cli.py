@@ -23,13 +23,8 @@ from .assembly import (
     RamifiedLevelData,
     psi_relation,
 )
-from .geodesics import (
-    dpsi_enumerated,
-    gamma_splitting,
-    pgt_report,
-    psi_enumerated,
-    sl2_classes,
-)
+from .geodesics import pgt_report, trace_row
+from .geodesics import sl2_classes  # noqa: F401  (read by the benchmark harness)
 from .integrals import TestFunctionSpec, orbital, verify_matching
 from .oracle import (
     coset_coverage_nonsplit,
@@ -305,6 +300,7 @@ def build_parser() -> Parser:
     ps = Parser(prog="geomatch", description=__doc__)
     ps.add_argument("--version", action="store_true")
     sub = ps.add_subparsers(dest="command")
+    ps.commands = sub.choices  # subcommand name -> its parser
 
     sp = sub.add_parser("verify-local", help="closed forms against the oracle")
     sp.add_argument("--p", type=int, default=2)
@@ -365,28 +361,6 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _apply_config(args, parser_defaults_used: dict):
-    if not getattr(args, "config", None):
-        return
-    conf = _load_config(args.config)
-    for key, raw in conf.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        default = parser_defaults_used.get(key, None)
-        if current is not None and current != default:
-            continue  # explicit flag wins
-        target = default
-        if isinstance(target, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(target, int):
-            setattr(args, key, int(raw))
-        elif isinstance(target, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
-
-
 def _parse_primes(text: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",") if s.strip()]
@@ -411,6 +385,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command and args.config:
+            # config values become the subcommand's defaults, so explicit
+            # flags win and argparse converts the values with each flag's type
+            sub = parser.commands[args.command]
+            known = vars(sub.parse_args([]))
+            sub.set_defaults(**{k: v for k, v in _load_config(args.config).items()
+                                if k in known})
+            args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -420,16 +402,7 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_help()
         return EXIT_USAGE
-    defaults = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices.get(args.command)
-            if sub is not None:
-                defaults.update({a.dest: a.default for a in sub._actions})
-        else:
-            defaults[action.dest] = action.default
     try:
-        _apply_config(args, defaults)
         return _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -450,6 +423,8 @@ def _cfg(args, command: str, params: dict) -> RunConfig:
 
 
 def _dispatch(args) -> int:
+    if args.command in ("classes", "spectrum", "report") and not 1 <= args.level <= 6:
+        raise UsageError("level must be in [1, 6]")
     if args.command == "verify-local":
         if args.p not in (2, 3, 5):
             raise UsageError("p must be one of 2, 3, 5")
@@ -488,19 +463,13 @@ def _dispatch(args) -> int:
         return EXIT_OK if all(r["ok"] for r in results) else EXIT_VIOLATION
 
     if args.command == "classes":
-        if not (1 <= args.level <= 6):
-            raise UsageError("level must be in [1, 6]")
         if args.t_min < 3 or args.t_max < args.t_min:
             raise UsageError("need 3 <= t-min <= t-max")
         cfg = _cfg(args, "classes",
                    {"t_min": args.t_min, "t_max": args.t_max, "level": args.level})
-        rows = []
-        for at in range(args.t_min, args.t_max + 1):
-            for t in (at, -at):
-                cls = sl2_classes(t)
-                splits = [gamma_splitting(c, args.level) for c in cls]
-                rows.append([t, len(cls), sum(c for c, _ in splits),
-                             dpsi_enumerated(args.level, t)])
+        rows = [[r.t, r.class_count_sl2, r.classes_in_level, r.dpsi]
+                for at in range(args.t_min, args.t_max + 1)
+                for r in (trace_row(args.level, at), trace_row(args.level, -at))]
         header = ["t", "class_count_sl2", "classes_in_level", "dpsi"]
         if cfg.fmt == "csv":
             _write(cfg, emit_csv(cfg, header, rows))
@@ -509,22 +478,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "spectrum":
-        if not (1 <= args.level <= 6):
-            raise UsageError("level must be in [1, 6]")
         if args.x_max < 10:
             raise UsageError("x-max must be >= 10")
-        cfg = _cfg(args, "spectrum",
-                   {"level": args.level, "x_max": args.x_max,
-                    "x_count": args.x_count})
-        xs = _geometric_grid(args.x_max, args.x_count)
-        rows = pmap(_pgt_row, [(args.level, x) for x in xs])
-        header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x",
-                  "pi_minus_li"]
-        if cfg.fmt == "csv":
-            _write(cfg, emit_csv(cfg, header, rows))
-        else:
-            _write(cfg, emit_json(cfg, [dict(zip(header, r)) for r in rows]))
-        return EXIT_OK
+        return _pgt_table(args, {"level": args.level, "x_max": args.x_max,
+                                 "x_count": args.x_count},
+                          _geometric_grid(args.x_max, args.x_count))
 
     if args.command == "relation":
         ram = _parse_primes(args.ramified)
@@ -564,23 +522,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "report":
-        if not (1 <= args.level <= 6):
-            raise UsageError("level must be in [1, 6]")
         try:
             xs = [float(s) for s in args.x_grid.split(",") if s.strip()]
         except ValueError as exc:
             raise UsageError(f"bad x grid {args.x_grid!r}") from exc
         if any(x < 10 for x in xs):
             raise UsageError("grid values must be >= 10")
-        cfg = _cfg(args, "report", {"level": args.level, "x_grid": xs})
-        rows = pmap(_pgt_row, [(args.level, x) for x in xs])
-        header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x",
-                  "pi_minus_li"]
-        if cfg.fmt == "csv":
-            _write(cfg, emit_csv(cfg, header, rows))
-        else:
-            _write(cfg, emit_json(cfg, [dict(zip(header, r)) for r in rows]))
-        return EXIT_OK
+        return _pgt_table(args, {"level": args.level, "x_grid": xs}, xs)
 
     raise UsageError(f"unknown command {args.command!r}")
 
@@ -591,6 +539,18 @@ def _geometric_grid(x_max: float, count: int) -> list[float]:
     lo, hi = 10.0, float(x_max)
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return [lo * ratio ** k for k in range(count)]
+
+
+def _pgt_table(args, params: dict, xs: list[float]) -> int:
+    """The counting-function table of spectrum and report, one row per x."""
+    cfg = _cfg(args, args.command, params)
+    rows = pmap(_pgt_row, [(args.level, x) for x in xs])
+    header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x", "pi_minus_li"]
+    if cfg.fmt == "csv":
+        _write(cfg, emit_csv(cfg, header, rows))
+    else:
+        _write(cfg, emit_json(cfg, [dict(zip(header, r)) for r in rows]))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from functools import lru_cache
 from .padic import NonHyperbolicTrace
 
 MAX_SPLITTING_LEVEL = 6
-PELL_BRUTE_BOUND = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -76,71 +75,14 @@ def _log_alpha(u: int) -> float:
     return base
 
 
-def _pell_one(D: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - D y^2 = 1 by continued fractions."""
-    a0 = math.isqrt(D)
-    if a0 * a0 == D:
-        raise ValueError("square discriminant")
-    m, d, a = 0, 1, a0
-    num1, num = 1, a0
-    den1, den = 0, 1
-    while num * num - D * den * den != 1:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        num1, num = num, a * num + num1
-        den1, den = den, a * den + den1
-    return num, den
-
-
-def _iroot(n: int, k: int) -> int:
-    """Integer floor k-th root."""
-    if n < 0:
-        raise ValueError
-    x = int(round(n ** (1.0 / k))) if n < 2 ** 50 else 1 << ((n.bit_length() + k - 1) // k)
-    while x ** k > n:
-        x = (x * (k - 1) + n // x ** (k - 1)) // k
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
-def _descend(disc: int, u: int, v: int) -> tuple[int, int]:
-    """Reduce (u, v) to the minimal norm-one unit by exact root extraction."""
-    changed = True
-    while changed:
-        changed = False
-        # square root: trace U = u'^2 - 2
-        s = math.isqrt(u + 2)
-        if s * s == u + 2 and s > 2:
-            vv = 4 * (s * s - 4)
-            if vv > 0 and (s * s - 4) % disc == 0:
-                w = math.isqrt((s * s - 4) // disc)
-                if w > 0 and w * w * disc == s * s - 4 and \
-                        PellUnit(disc, s, w).power(2) == (u, v):
-                    u, v = s, w
-                    changed = True
-                    continue
-        # cube root: trace U = u'^3 - 3 u'
-        c = _iroot(u + 3 * _iroot(u, 3), 3)
-        for cand in (c - 1, c, c + 1, c + 2):
-            if cand > 2 and cand ** 3 - 3 * cand == u and (cand * cand - 4) % disc == 0:
-                w = math.isqrt((cand * cand - 4) // disc)
-                if w > 0 and w * w * disc == cand * cand - 4 and \
-                        PellUnit(disc, cand, w).power(3) == (u, v):
-                    u, v = cand, w
-                    changed = True
-                    break
-    return u, v
-
-
 @lru_cache(maxsize=None)
 def pell_fundamental(disc: int) -> PellUnit:
     """Minimal positive solution of u^2 - disc v^2 = 4.
 
-    Ascending search up to a fixed bound, then the continued-fraction route
-    (x^2 - D y^2 = 1 scaled into the order, with exact 2nd/3rd root descent
-    to the fundamental unit).
+    The product of the rho-step matrices [[0, -1], [1, delta]] over the
+    reduction cycle of the principal form (1, B, C) is the automorph that
+    comes from the fundamental norm-one unit: its trace is +-u and its
+    lower-left entry +-v.
     """
     if disc <= 0:
         raise ValueError("discriminant must be positive")
@@ -149,17 +91,12 @@ def pell_fundamental(disc: int) -> PellUnit:
         raise ValueError("square discriminant")
     if disc % 4 not in (0, 1):
         raise ValueError("not a discriminant")
-    for v in range(1, PELL_BRUTE_BOUND):
-        n = 4 + disc * v * v
-        u = math.isqrt(n)
-        if u * u == n:
-            return PellUnit(disc, u, v)
-    if disc % 4 == 0:
-        x1, y1 = _pell_one(disc // 4)
-        return PellUnit(disc, 2 * x1, y1)
-    x1, y1 = _pell_one(disc)
-    u, v = _descend(disc, 2 * x1, 2 * y1)
-    return PellUnit(disc, u, v)
+    B = s - (s - disc) % 2  # the largest B < sqrt(disc) with B = disc mod 2
+    cyc = _cycle((1, B, (B * B - disc) // 4), disc)
+    auto = (1, 0, 0, 1)
+    for (_, b, c), (_, b2, _) in zip(cyc, cyc[1:] + cyc[:1]):
+        auto = _mat_mul(auto, (0, -1, 1, (b + b2) // (2 * c)))  # delta of one rho step
+    return PellUnit(disc, abs(auto[0] + auto[3]), abs(auto[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +380,55 @@ def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
     return total // len(subgroup), mstar
 
 
-def minus_one_in_level(N: int) -> bool:
-    return N <= 2
-
-
 def c_factor(N: int) -> Fraction:
-    """1/2 when -1 lies in the level-N group, else 1."""
-    return Fraction(1, 2) if minus_one_in_level(N) else Fraction(1)
+    """1/2 when -1 lies in the level-N group (N <= 2), else 1."""
+    return Fraction(1, 2) if N <= 2 else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# counting functions
+# the per-trace table and the counting functions
+
+
+@dataclass(frozen=True)
+class TraceRow:
+    """Level-N class data of one hyperbolic trace t.
+
+    log_weight is the sum of count * m* * log x0 over the SL2(Z)-classes,
+    primitive the number of level-N classes whose element is primitive, and
+    contribution = c * 2 * log_weight the trace's share of psi.
+    """
+
+    t: int
+    class_count_sl2: int
+    classes_in_level: int
+    log_weight: float
+    primitive: int
+    contribution: float
+
+    @property
+    def dpsi(self) -> float:
+        return self.log_weight / math.sqrt(abs(self.t) - 2)
+
+
+@lru_cache(maxsize=None)
+def trace_row(N: int, t: int) -> TraceRow:
+    """The level-N row of trace t; each class is split exactly once."""
+    classes = sl2_classes(t)
+    in_level = primitive = 0
+    weight = 0.0
+    for cls in classes:
+        count, mstar = gamma_splitting(cls, N)
+        in_level += count
+        weight += count * mstar * cls.log_x0()
+        if cls.power == mstar:
+            primitive += count
+    return TraceRow(t, len(classes), in_level, weight, primitive,
+                    float(c_factor(N)) * 2.0 * weight)
+
+
+def trace_table(N: int, tmax: int) -> list[TraceRow]:
+    """Rows for t = 3, -3, 4, -4, ..., tmax, -tmax."""
+    return [trace_row(N, t) for at in range(3, tmax + 1) for t in (at, -at)]
 
 
 def dpsi_enumerated(N: int, t: int) -> float:
@@ -463,17 +438,7 @@ def dpsi_enumerated(N: int, t: int) -> float:
     weight of a class is (splitting count) * log of its level-N primitive
     norm x0^(m*).
     """
-    raw = _dpsi_raw(N, t)
-    return raw / math.sqrt(abs(t) - 2)
-
-
-def _dpsi_raw(N: int, t: int) -> float:
-    total = 0.0
-    for cls in sl2_classes(t):
-        count, mstar = gamma_splitting(cls, N)
-        if count:
-            total += count * mstar * cls.log_x0()
-    return total
+    return trace_row(N, t).dpsi
 
 
 def trace_bound(x) -> int:
@@ -489,38 +454,32 @@ def trace_bound(x) -> int:
     return tmax
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    t: int
-    class_count_sl2: int
-    classes_in_level: int
-    dpsi: float
-    contribution: float
-
-
-def spectrum_rows(N: int, x) -> list[SpectrumRow]:
+def spectrum_rows(N: int, x) -> list[TraceRow]:
     """Per-trace rows for 2 < |t| <= sqrt(x) + 1/sqrt(x), both signs.
 
-    contribution is c * 2 sqrt(|t|-2) * dpsi(t) computed from exact class
-    data (c = 1/2 when -1 is in the level group), so the psi column of a
-    report is exactly the sum of its contribution column.
+    The psi column of a report is exactly the sum of the contribution column.
     """
-    c = float(c_factor(N))
-    rows = []
-    tmax = trace_bound(x)
-    for at in range(3, tmax + 1):
-        for t in (at, -at):
-            splits = [(cls, *gamma_splitting(cls, N)) for cls in sl2_classes(t)]
-            in_level = sum(cnt for _, cnt, _ in splits)
-            raw = sum(cnt * ms * cls.log_x0() for cls, cnt, ms in splits)
-            rows.append(SpectrumRow(
-                t=t,
-                class_count_sl2=len(splits),
-                classes_in_level=in_level,
-                dpsi=raw / math.sqrt(at - 2),
-                contribution=c * 2.0 * raw,
-            ))
-    return rows
+    return trace_table(N, trace_bound(x))
+
+
+def _counts(N: int, xs) -> list[tuple[float, int]]:
+    """(psi, pi) at each x, in the given order, from one prefix-sum pass.
+
+    pi is c times the number of primitive level-N classes over both signs of
+    t: gamma and -gamma give one class when -1 is in the group.
+    """
+    bounds = [trace_bound(x) for x in xs]
+    psi, pi = [0], [0]
+    for row in trace_table(N, max(bounds, default=2)):
+        psi.append(psi[-1] + row.contribution)
+        pi.append(pi[-1] + row.primitive)
+    out = []
+    for tmax in bounds:
+        k = 2 * (tmax - 2)
+        count = c_factor(N) * pi[k]
+        assert count.denominator == 1
+        out.append((psi[k], int(count)))
+    return out
 
 
 def psi_enumerated(N: int, x) -> float:
@@ -529,24 +488,12 @@ def psi_enumerated(N: int, x) -> float:
     Equivalently the sum of log(norm of the level-N primitive) over level-N
     classes of norm at most x; grows like x.
     """
-    return sum(r.contribution for r in spectrum_rows(N, x))
+    return _counts(N, [x])[0][0]
 
 
 def pi_enumerated(N: int, x) -> int:
     """Number of level-N primitive classes of norm at most x (mod +-1)."""
-    fx = Fraction(x)
-    tmax = trace_bound(x)
-    total = 0
-    for at in range(3, tmax + 1):
-        for t in (at, -at):
-            for cls in sl2_classes(t):
-                count, mstar = gamma_splitting(cls, N)
-                if count and cls.power == mstar:
-                    total += count
-    if minus_one_in_level(N):
-        assert total % 2 == 0
-        total //= 2
-    return total
+    return _counts(N, [x])[0][1]
 
 
 def li(x: float) -> float:
@@ -577,11 +524,10 @@ class PgtRow:
 
 
 def pgt_report(N: int, xs) -> list[PgtRow]:
-    """Counting-function table over a grid of x values."""
+    """Counting-function table over a grid of x values, in the given order."""
+    xs = list(xs)
     rows = []
-    for x in xs:
-        psi = psi_enumerated(N, x)
-        piv = pi_enumerated(N, x)
+    for x, (psi, piv) in zip(xs, _counts(N, xs)):
         lix = li(float(x))
         rows.append(PgtRow(float(x), psi, psi - float(x), float(x) ** 0.7,
                            piv, lix, piv - lix))

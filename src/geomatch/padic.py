@@ -434,19 +434,3 @@ def unit_filtration_index(q: int, m: int) -> int:
     if m < 0:
         raise ValueError("filtration level must be >= 0")
     return 1 if m == 0 else (q - 1) * q ** (m - 1)
-
-
-def retry_with_precision(build, attempts: int = 5):
-    """Run build(M) with doubling precision until PrecisionExhausted stops.
-
-    build(None) should pick its own default precision.
-    """
-    M = None
-    last: PrecisionExhausted | None = None
-    for _ in range(attempts):
-        try:
-            return build(M)
-        except PrecisionExhausted as exc:
-            M = 2 * (M or 16)
-            last = exc
-    raise last if last is not None else RuntimeError("retry never ran")

@@ -251,3 +251,9 @@ def test_predict_matches_enumeration_higher_levels():
                     seen.append(t)
                     assert abs(pred - enum) <= 1e-9 * enum, (N, t)
         assert seen[:4] == traces, (N, seen[:6])
+
+
+def test_geodesic_c_factor_matches_group_membership():
+    from geomatch.geodesics import c_factor
+    for N in range(1, 7):
+        assert c_factor(N) == group_c_factor(GroupDescriptor.principal(N)), N

@@ -134,3 +134,26 @@ def test_determinism_across_threads(tmp_path, capsys, monkeypatch):
     ta = [l for l in a.read_text().splitlines() if "threads" not in l]
     tb = [l for l in b.read_text().splitlines() if "threads" not in l]
     assert ta == tb
+
+
+def test_config_seed_matches_seed_flag(tmp_path, capsys):
+    conf = tmp_path / "seed.conf"
+    conf.write_text("seed=7\n")
+    argv = ["coverage", "--decomposition", "split-M", "--p", "2", "--M", "3",
+            "--samples", "50"]
+    a, b = tmp_path / "flag.json", tmp_path / "conf.json"
+    assert main(argv + ["--seed", "7", "--out", str(a)]) == EXIT_OK
+    assert main(argv + ["--config", str(conf), "--out", str(b)]) == EXIT_OK
+    assert json.loads(b.read_text())["seed"] == 7
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_explicit_flag_beats_config_at_default_value(tmp_path, capsys):
+    conf = tmp_path / "level.conf"
+    conf.write_text("level=2\n")
+    argv = ["spectrum", "--level", "1", "--x-max", "100", "--x-count", "2"]
+    a, b = tmp_path / "flag.json", tmp_path / "conf.json"
+    assert main(argv + ["--out", str(a)]) == EXIT_OK
+    assert main(argv + ["--config", str(conf), "--out", str(b)]) == EXIT_OK
+    assert json.loads(b.read_text())["config"]["level"] == 1
+    assert a.read_bytes() == b.read_bytes()

@@ -177,3 +177,26 @@ def test_cli_verify_local_supports_p5():
     from geomatch.cli import run_verify_local
     res = run_verify_local(5, 2, 8)
     assert res["ok"] and res["points_checked"] > 0
+
+
+def test_pgt_report_on_unsorted_grid_with_duplicate():
+    xs = [3000.0, 40.0, 800.0, 40.0, 150.0]
+    for N in (1, 2, 3, 4):
+        rows = pgt_report(N, xs)
+        assert [r.x for r in rows] == xs
+        assert rows == [pgt_report(N, [x])[0] for x in xs], N
+        for x, row in zip(xs, rows):
+            # psi and pi summed class by class, trace by trace
+            c = 0.5 if N <= 2 else 1.0
+            psi, pi = 0, 0
+            for at in range(3, trace_bound(x) + 1):
+                for t in (at, -at):
+                    splits = [(cls, *gamma_splitting(cls, N)) for cls in sl2_classes(t)]
+                    raw = sum(cnt * ms * cls.log_x0() for cls, cnt, ms in splits)
+                    psi += c * 2.0 * raw
+                    pi += sum(cnt for cls, cnt, ms in splits if cnt and cls.power == ms)
+            if N <= 2:
+                assert pi % 2 == 0
+                pi //= 2
+            assert row.psi == psi, (N, x)
+            assert row.pi == pi, (N, x)
