@@ -244,23 +244,17 @@ def matched_local_factor(level: int, t: int, p: int) -> Fraction:
 
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:
     """Primes where the local factor can differ from 1."""
-    disc = t * t - 4
     supp = {p for p, _, _ in desc.entries}
-    d = abs(disc)
-    for p in (2, 3, 5, 7):
-        if d % p == 0:
-            supp.add(p)
-    p = 11
-    dd = d
-    for p0 in (2, 3, 5, 7):
-        while dd % p0 == 0:
-            dd //= p0
-    while dd > 1:
-        if _is_prime(p) and dd % p == 0:
+    dd = abs(t * t - 4)
+    p = 2
+    while p * p <= dd:
+        if dd % p == 0:  # p is prime: every smaller prime is divided out
             supp.add(p)
             while dd % p == 0:
                 dd //= p
-        p += 2
+        p += 1 if p == 2 else 2
+    if dd > 1:
+        supp.add(dd)
     return tuple(sorted(supp))
 
 

@@ -96,7 +96,7 @@ def _threads() -> int:
         return 1
 
 
-def pmap(fn, items):
+def pmap(fn, items):  # no caller in geomatch; the benchmark harness traces it
     """Order-preserving map honoring GEOMATCH_THREADS (deterministic merge)."""
     items = list(items)
     n = _threads()
@@ -104,13 +104,6 @@ def pmap(fn, items):
         return [fn(it) for it in items]
     with Pool(processes=min(n, len(items))) as pool:
         return pool.map(fn, items)
-
-
-def _pgt_row(task) -> list:
-    level, x = task
-    rows = pgt_report(level, [x])
-    r = rows[0]
-    return [r.x, r.psi, r.psi_minus_x, r.x_pow_7_10, r.pi, r.li_x, r.pi_minus_li]
 
 
 def fmt_float(v: float) -> str:
@@ -544,8 +537,8 @@ def _geometric_grid(x_max: float, count: int) -> list[float]:
 def _pgt_table(args, params: dict, xs: list[float]) -> int:
     """The counting-function table of spectrum and report, one row per x."""
     cfg = _cfg(args, args.command, params)
-    rows = pmap(_pgt_row, [(args.level, x) for x in xs])
     header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x", "pi_minus_li"]
+    rows = [[getattr(r, h) for h in header] for r in pgt_report(args.level, xs)]
     if cfg.fmt == "csv":
         _write(cfg, emit_csv(cfg, header, rows))
     else:

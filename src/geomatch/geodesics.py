@@ -140,8 +140,9 @@ def primitive_classes(disc: int) -> tuple[tuple[int, int, int], ...]:
         if m4 % 4:
             continue
         m = m4 // 4  # = A C < 0
-        for A in range(1, abs(m) + 1):
-            if abs(m) % A:
+        # reduced forms have sqrt(disc) - B < 2|A| < sqrt(disc) + B
+        for A in range(max(1, (s - B) // 2), (s + 1 + B) // 2 + 1):
+            if m % A:
                 continue
             for Asig in (A, -A):
                 C = m // Asig

@@ -124,18 +124,17 @@ def is_square(d: int, ctx: PAdicContext) -> bool:
     """Whether a nonzero d is a square in Q_p.
 
     Strips the valuation (must be exact at this precision), then tests the
-    unit part: for p = 2 by exhaustive search modulo 2^max(guarded prec, 5),
-    for odd p by the Euler criterion on the residue.
+    unit part: for p = 2 an odd u is a square exactly when u = 1 mod 8, which
+    needs three digits of u; for odd p the Euler criterion on the residue.
     """
     v = ctx.val(d)
     if v % 2:
         return False
     u = ctx.reduce(d) // ctx.p ** v
     if ctx.p == 2:
-        k = max(min(ctx.M - v, ctx.M), 5)
-        mod = 2 ** k
-        target = u % mod
-        return any(y * y % mod == target for y in range(mod))
+        if ctx.M - v < 3:
+            raise PrecisionExhausted(f"2-adic square test needs M - v >= 3, not {ctx.M - v}")
+        return u % 8 == 1
     return pow(u, (ctx.p - 1) // 2, ctx.p) == 1
 
 

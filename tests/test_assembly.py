@@ -9,6 +9,7 @@ from geomatch.assembly import (
     dpsi_relation,
     dpsi_value,
     extract_global_constant,
+    factor_support,
     group_c_factor,
     local_factor,
     local_product,
@@ -257,3 +258,20 @@ def test_geodesic_c_factor_matches_group_membership():
     from geomatch.geodesics import c_factor
     for N in range(1, 7):
         assert c_factor(N) == group_c_factor(GroupDescriptor.principal(N)), N
+
+
+def test_factor_support_is_primes_of_discriminant_plus_descriptor():
+    data = RamifiedLevelData((2, 3), ())
+    descs = [GroupDescriptor.eichler(data, I) for I in subset_coefficients(data)]
+    assert len(descs) == 4
+    for at in range(3, 601):
+        n, primes, d = at * at - 4, set(), 2
+        while n > 1:
+            while n % d == 0:
+                primes.add(d)
+                n //= d
+            d += 1
+        for t in (at, -at):
+            for desc in descs:
+                want = primes | {p for p, _, _ in desc.entries}
+                assert factor_support(desc, t) == tuple(sorted(want)), (t, desc)

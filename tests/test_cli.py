@@ -157,3 +157,21 @@ def test_explicit_flag_beats_config_at_default_value(tmp_path, capsys):
     assert main(argv + ["--config", str(conf), "--out", str(b)]) == EXIT_OK
     assert json.loads(b.read_text())["config"]["level"] == 1
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_grid_commands_start_no_pool(tmp_path, capsys, monkeypatch):
+    import geomatch.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("spectrum and report must not start a pool")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    for argv in (["spectrum", "--level", "1", "--x-max", "3000", "--x-count", "5"],
+                 ["report", "--level", "3", "--x-grid", "800,40,2000,40"]):
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GEOMATCH_THREADS", threads)
+            path = tmp_path / f"out{threads}.json"
+            assert main(argv + ["--out", str(path)]) == EXIT_OK
+            texts.append([l for l in path.read_text().splitlines() if "threads" not in l])
+        assert texts[0] == texts[1], argv

@@ -11,11 +11,14 @@ from geomatch.geodesics import (
     pell_fundamental,
     pgt_report,
     pi_enumerated,
+    primitive_classes,
     psi_enumerated,
     sl2_classes,
     sl2_group_order,
     spectrum_rows,
     trace_bound,
+    _cycle,
+    _is_reduced,
     _mat_mul,
     _mat_pow,
 )
@@ -200,3 +203,35 @@ def test_pgt_report_on_unsorted_grid_with_duplicate():
                 pi //= 2
             assert row.psi == psi, (N, x)
             assert row.pi == pi, (N, x)
+
+
+def _classes_by_full_divisor_walk(disc):
+    """Every divisor A of |m| = (disc - B^2)/4 for every B, no window on A."""
+    s = math.isqrt(disc)
+    forms = set()
+    for B in range(1, s + 1):
+        if (B * B - disc) % 4:
+            continue
+        m = (B * B - disc) // 4
+        divisors = set()
+        for d in range(1, math.isqrt(-m) + 1):
+            if m % d == 0:
+                divisors |= {d, -m // d}
+        for A in divisors:
+            for Asig in (A, -A):
+                C = m // Asig
+                if math.gcd(math.gcd(Asig, B), C) == 1 and _is_reduced(Asig, B, C, disc):
+                    forms.add((Asig, B, C))
+    reps = {min(_cycle(f, disc)) for f in forms}
+    return tuple(sorted(reps))
+
+
+def test_primitive_classes_window_matches_full_divisor_walk():
+    discs = {d for d in range(5, 2000)
+             if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d}
+    for t in range(3, 61):
+        disc = t * t - 4
+        discs |= {disc // (m * m) for m in range(1, math.isqrt(disc) + 1)
+                  if disc % (m * m) == 0 and disc // (m * m) % 4 in (0, 1)}
+    for disc in sorted(discs):
+        assert primitive_classes(disc) == _classes_by_full_divisor_walk(disc), disc

@@ -9,6 +9,7 @@ from geomatch.padic import (
     SPLIT,
     UNRAMIFIED,
     classify_torus,
+    integer_valuation,
     is_square,
     quad_order_unit_index,
     ramified_torus,
@@ -96,6 +97,37 @@ def test_square_detection_against_bruteforce():
             want = d % mod in squares
             if got != want:
                 assert got == (d % mod in squares)
+
+
+def _is_square_2adic_by_search(d, ctx):
+    """The exhaustive residue search that the mod-8 test replaced."""
+    v = ctx.val(d)
+    if v % 2:
+        return False
+    u = ctx.reduce(d) // 2 ** v
+    k = max(min(ctx.M - v, ctx.M), 5)
+    mod = 2 ** k
+    return any(y * y % mod == u % mod for y in range(mod))
+
+
+def test_2adic_square_test_matches_exhaustive_search():
+    for M in range(3, 11):
+        ctx = PAdicContext(2, M)
+        for d in range(1, 2 ** M):
+            if M - integer_valuation(d, 2) >= 3:
+                assert is_square(d, ctx) == _is_square_2adic_by_search(d, ctx), (M, d)
+
+
+def test_2adic_square_test_needs_three_digits():
+    for M in range(3, 11):
+        ctx = PAdicContext(2, M)
+        v = M - 2  # the largest valuation the guard allows
+        for u in (1, 3, 5, 7):
+            if v % 2 == 0:
+                with pytest.raises(PrecisionExhausted):
+                    is_square(u * 2 ** v, ctx)
+            else:
+                assert not is_square(u * 2 ** v, ctx)  # odd valuation is exact
 
 
 def test_quad_order_unit_index_values():
