@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesics import dpsi_enumerated, trace_bound
+from .geodesics import MAX_SPLITTING_LEVEL, dpsi_enumerated, trace_bound
 from .integrals import (
     matched_value,
     matching_combination,
@@ -56,18 +56,18 @@ class RamifiedLevelData:
 
     def __post_init__(self):
         ram = tuple(sorted(set(self.ram)))
-        object.__setattr__(self, "ram", ram)
-        object.__setattr__(self, "exponents",
-                           tuple(sorted((p, n) for p, n in dict(self.exponents).items()
-                                        if n > 0)))
+        exponents = dict(self.exponents)
         if len(ram) % 2 or len(ram) < 2:
             raise ValueError("ramification set must have even cardinality >= 2")
         for p in ram:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        for p, n in self.exponents:
+        for p, n in exponents.items():
             if not _is_prime(p) or n < 0:
                 raise ValueError("exponents must map primes to levels >= 0")
+        object.__setattr__(self, "ram", ram)
+        object.__setattr__(self, "exponents",
+                           tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
 
     def exponent(self, p: int) -> int:
         return dict(self.exponents).get(p, 0)
@@ -296,9 +296,9 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
 
 
 def enumerable_level(desc: GroupDescriptor) -> int | None:
-    """Principal level N <= 6 when direct enumeration is available."""
+    """Principal level N <= MAX_SPLITTING_LEVEL, where enumeration is available."""
     N = desc.principal_level()
-    if N is not None and N <= 6:
+    if N is not None and N <= MAX_SPLITTING_LEVEL:
         return N
     return None
 

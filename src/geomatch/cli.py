@@ -23,7 +23,7 @@ from .assembly import (
     RamifiedLevelData,
     psi_relation,
 )
-from .geodesics import pgt_report, trace_row
+from .geodesics import MAX_SPLITTING_LEVEL, pgt_report, trace_row
 from .geodesics import sl2_classes  # noqa: F401  (read by the benchmark harness)
 from .integrals import TestFunctionSpec, orbital, verify_matching
 from .oracle import (
@@ -171,6 +171,23 @@ def _tori_for(p: int, M: int):
     return tori
 
 
+def _grid(torus, span: int):
+    """(i, j, x) over the verification grid of a torus.
+
+    Field tori take x = (1 + p^i) + p^j theta0; the split torus takes the pair
+    (1 + p^i, 1) with j = 0, skipping a first coordinate that is not a unit.
+    """
+    p = torus.ctx.p
+    for i in range(span + 1):
+        if torus.kind == SPLIT:
+            a = (1 + p ** i) % torus.ctx.modulus
+            if a % p:
+                yield i, 0, torus.element(a, 1)
+        else:
+            for j in range(span + 1):
+                yield i, j, torus.element(1 + p ** i, p ** j)
+
+
 def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
     """Closed form against the brute-force oracle over a coordinate grid.
 
@@ -189,26 +206,16 @@ def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
             for n in range(0, n_max + 1):
                 for flag in (False, True):
                     spec = TestFunctionSpec(kind, n, flag)
-                    for i in range(0, span + 1):
-                        for j in range(0, span + 1):
-                            if torus.kind == SPLIT:
-                                if j:
-                                    continue
-                                a = (1 + p ** i) % torus.ctx.modulus
-                                if a % p == 0:
-                                    continue
-                                x = torus.element(a, 1)
-                            else:
-                                x = torus.element(1 + p ** i, p ** j)
-                            lhs = orbital(spec, x).value
-                            rhs = oracle_orbital(spec, x).value
-                            checked += 1
-                            if lhs != rhs:
-                                failures.append({
-                                    "torus": torus.kind, "kind": kind.value,
-                                    "n": n, "norm_index": flag,
-                                    "alpha_exp": i, "beta_exp": j,
-                                    "closed_form": str(lhs), "oracle": str(rhs)})
+                    for i, j, x in _grid(torus, span):
+                        lhs = orbital(spec, x).value
+                        rhs = oracle_orbital(spec, x).value
+                        checked += 1
+                        if lhs != rhs:
+                            failures.append({
+                                "torus": torus.kind, "kind": kind.value,
+                                "n": n, "norm_index": flag,
+                                "alpha_exp": i, "beta_exp": j,
+                                "closed_form": str(lhs), "oracle": str(rhs)})
     inter = []
     for torus in _tori_for(p, max(work, 14))[1:]:
         for kind in (OrderKind.M, OrderKind.J):
@@ -239,26 +246,16 @@ def run_verify_matching(primes, n_max: int, span: int = 4) -> dict:
         M = span + 2 * n_max + 6
         for torus in _tori_for(p, M):
             for n in range(0, n_max + 1):
-                for i in range(0, span + 1):
-                    for j in range(0, span + 1):
-                        if torus.kind == SPLIT:
-                            if j:
-                                continue
-                            a = (1 + p ** i) % torus.ctx.modulus
-                            if a % p == 0:
-                                continue
-                            x = torus.element(a, 1)
-                        else:
-                            x = torus.element(1 + p ** i, p ** j)
-                        for flag in (False, True):
-                            rep = verify_matching(p, n, x, flag)
-                            checked += 1
-                            if not rep.equal:
-                                failures.append({
-                                    "p": p, "n": n, "torus": torus.kind,
-                                    "alpha_exp": i, "beta_exp": j,
-                                    "norm_index": flag,
-                                    "lhs": str(rep.lhs), "rhs": str(rep.rhs)})
+                for i, j, x in _grid(torus, span):
+                    for flag in (False, True):
+                        rep = verify_matching(p, n, x, flag)
+                        checked += 1
+                        if not rep.equal:
+                            failures.append({
+                                "p": p, "n": n, "torus": torus.kind,
+                                "alpha_exp": i, "beta_exp": j,
+                                "norm_index": flag,
+                                "lhs": str(rep.lhs), "rhs": str(rep.rhs)})
     return {"primes": list(primes), "n_max": n_max, "points_checked": checked,
             "failures": failures, "ok": not failures}
 
@@ -416,8 +413,9 @@ def _cfg(args, command: str, params: dict) -> RunConfig:
 
 
 def _dispatch(args) -> int:
-    if args.command in ("classes", "spectrum", "report") and not 1 <= args.level <= 6:
-        raise UsageError("level must be in [1, 6]")
+    if (args.command in ("classes", "spectrum", "report")
+            and not 1 <= args.level <= MAX_SPLITTING_LEVEL):
+        raise UsageError(f"level must be in [1, {MAX_SPLITTING_LEVEL}]")
     if args.command == "verify-local":
         if args.p not in (2, 3, 5):
             raise UsageError("p must be one of 2, 3, 5")
@@ -444,6 +442,8 @@ def _dispatch(args) -> int:
     if args.command == "coverage":
         if args.p not in (2, 3):
             raise UsageError("coverage supports p in {2, 3}")
+        if args.M < 2:
+            raise UsageError("coverage needs M >= 2")
         names = (["split-M", "split-J", "nonsplit-M", "nonsplit-J"]
                  if args.decomposition == "all" else [args.decomposition])
         seed = args.seed if args.seed is not None else 0
@@ -463,12 +463,7 @@ def _dispatch(args) -> int:
         rows = [[r.t, r.class_count_sl2, r.classes_in_level, r.dpsi]
                 for at in range(args.t_min, args.t_max + 1)
                 for r in (trace_row(args.level, at), trace_row(args.level, -at))]
-        header = ["t", "class_count_sl2", "classes_in_level", "dpsi"]
-        if cfg.fmt == "csv":
-            _write(cfg, emit_csv(cfg, header, rows))
-        else:
-            _write(cfg, emit_json(cfg, [dict(zip(header, r)) for r in rows]))
-        return EXIT_OK
+        return _write_table(cfg, ["t", "class_count_sl2", "classes_in_level", "dpsi"], rows)
 
     if args.command == "spectrum":
         if args.x_max < 10:
@@ -539,6 +534,11 @@ def _pgt_table(args, params: dict, xs: list[float]) -> int:
     cfg = _cfg(args, args.command, params)
     header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x", "pi_minus_li"]
     rows = [[getattr(r, h) for h in header] for r in pgt_report(args.level, xs)]
+    return _write_table(cfg, header, rows)
+
+
+def _write_table(cfg: RunConfig, header: list[str], rows: list[list]) -> int:
+    """One row per list, as CSV or as JSON objects keyed by the header."""
     if cfg.fmt == "csv":
         _write(cfg, emit_csv(cfg, header, rows))
     else:

@@ -322,21 +322,16 @@ def class_count_bruteforce(t: int, bound: int = 30, closure: int = 400) -> int:
 # splitting into principal congruence subgroups
 
 
-@lru_cache(maxsize=None)
 def sl2_group_order(N: int) -> int:
-    """|SL2(Z/N)| by enumeration (N <= 6)."""
-    if N > MAX_SPLITTING_LEVEL:
-        raise ValueError(f"level {N} above the enumeration limit {MAX_SPLITTING_LEVEL}")
-    if N == 1:
-        return 1
-    count = 0
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for d in range(N):
-                    if (a * d - b * c) % N == 1 % N:
-                        count += 1
-    return count
+    """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2) (Diamond-Shurman, section 1.2)."""
+    order, n, p = N ** 3, N, 2
+    while n > 1:
+        if n % p == 0:
+            order = order // (p * p) * (p * p - 1)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return order
 
 
 def _mod(mat, N):
@@ -346,39 +341,30 @@ def _mod(mat, N):
 def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
     """(count, primitive_index) of the class under the level-N splitting.
 
-    count is the number of level-N classes inside the SL2(Z)-class (0 unless
-    gamma = 1 mod N), |SL2(Z/N)| / |image of the centralizer <gamma0, -1>|;
-    primitive_index is the least m with gamma0^m = +-1 mod N.
+    primitive_index is m*, the least m with gamma0^m = +-1 mod N, found by
+    walking the powers of gamma0 mod N.  The image of the centralizer
+    <gamma0, -1> then has 2 c m* elements (c = c_factor(N), 1/2 exactly when
+    -1 = 1 mod N), so count, the number of level-N classes inside the
+    SL2(Z)-class, is |SL2(Z/N)| / (2 c m*) when gamma = 1 mod N and 0 otherwise.
     """
     if N > MAX_SPLITTING_LEVEL:
-        raise ValueError(f"level {N} above the enumeration limit {MAX_SPLITTING_LEVEL}")
+        raise ValueError(f"level {N} above the splitting limit {MAX_SPLITTING_LEVEL}")
     if N == 1:
         return 1, 1
-    ident = (1 % N, 0, 0, 1 % N)
-    neg = tuple(e % N for e in (-1, 0, 0, -1))
+    total = sl2_group_order(N)
+    ident, neg = (1, 0, 0, 1), (N - 1, 0, 0, N - 1)
     g0 = _mod(cls.gamma0, N)
-    powers = []
-    cur = ident
-    mstar = None
-    order = None
-    for j in range(1, 4 * sl2_group_order(N) + 2):
+    cur, mstar = g0, 1
+    while cur != ident and cur != neg:
+        if mstar >= total:
+            raise AssertionError("gamma0 mod N does not reach +-1 within |SL2(Z/N)| steps")
         cur = _mod(_mat_mul(cur, g0), N)
-        powers.append(cur)
-        if mstar is None and (cur == ident or cur == neg):
-            mstar = j
-        if cur == ident:
-            order = j
-            break
-    if order is None:
-        raise AssertionError("generator image order not found")
-    subgroup = set(powers)
-    if neg not in subgroup:
-        subgroup |= {_mod(_mat_neg(x), N) for x in powers}
+        mstar += 1
     if _mod(cls.gamma, N) != ident:
         return 0, mstar
-    total = sl2_group_order(N)
-    assert total % len(subgroup) == 0
-    return total // len(subgroup), mstar
+    size = int(2 * c_factor(N)) * mstar  # |<gamma0, -1> mod N|
+    assert total % size == 0
+    return total // size, mstar
 
 
 def c_factor(N: int) -> Fraction:

@@ -275,12 +275,8 @@ def matched_value(q: int, n: int, x: RegularElement,
                   include_norm_index: bool = False) -> Fraction:
     """a * O(f_{n1}) + b * O(g_{n2}) at x, the matrix side of the matching."""
     combo = matching_combination(q, n)
-    if x.torus.kind == SPLIT:
-        vf = orbital_split_f(x, combo.f_level, include_norm_index).value
-        vg = orbital_split_g(x, combo.g_level, include_norm_index).value
-    else:
-        vf = orbital_nonsplit_f(x, combo.f_level, include_norm_index).value
-        vg = orbital_nonsplit_g(x, combo.g_level, include_norm_index).value
+    vf = orbital(TestFunctionSpec(OrderKind.M, combo.f_level, include_norm_index), x).value
+    vg = orbital(TestFunctionSpec(OrderKind.J, combo.g_level, include_norm_index), x).value
     return combo.coeff_f * vf + combo.coeff_g * vg
 
 

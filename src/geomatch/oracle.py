@@ -639,6 +639,8 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
     Every sample gets a constructive witness for its classified coset, and
     pairwise disjointness of all cosets in range is certified once.
     """
+    if M < 2:
+        raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
     name = "split-M" if kind is OrderKind.M else "split-J"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
@@ -738,6 +740,8 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
     For the Iwahori order over an unramified torus a level-0 assignment is a
     violation (there is no such optimal embedding).
     """
+    if M < 2:
+        raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
     name = f"nonsplit-{kind.value}"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))

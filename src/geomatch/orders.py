@@ -358,11 +358,6 @@ class DivElt:
         return n
 
 
-def division_mul(x: DivElt, y: DivElt) -> DivElt:
-    """Product in the cyclic model (pi_D u = sigma(u) pi_D, pi_D^2 = p)."""
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # embeddings of a torus at a prescribed optimal level
 

@@ -70,9 +70,6 @@ class PAdicContext:
     def modulus(self) -> int:
         return self.p ** self.M
 
-    def with_precision(self, M: int) -> "PAdicContext":
-        return PAdicContext(self.p, M, self.guard)
-
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
@@ -109,11 +106,6 @@ class PAdicContext:
         if x % 2:
             raise ValueError("x/2 needs x even when p = 2")
         return (x % self.modulus) // 2
-
-
-def valuation(x: int, ctx: PAdicContext) -> int:
-    """Valuation of a p-adic element given as an integer mod p^M."""
-    return ctx.val(x)
 
 
 # ---------------------------------------------------------------------------

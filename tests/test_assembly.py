@@ -50,6 +50,8 @@ def test_ramified_data_validation():
         RamifiedLevelData((2, 3, 5))
     with pytest.raises(ValueError):
         RamifiedLevelData((2, 4))
+    with pytest.raises(ValueError):
+        RamifiedLevelData((2, 3), ((2, -1),))
 
 
 def test_descriptor_constructions():

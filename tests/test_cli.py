@@ -27,6 +27,9 @@ def test_usage_errors(capsys):
     assert main(["relation", "--ramified", "2,3,5"]) == EXIT_USAGE
     assert main(["spectrum", "--level", "9"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
+    assert main(["coverage", "--M", "0"]) == EXIT_USAGE
+    assert main(["coverage", "--M", "1"]) == EXIT_USAGE
+    assert main(["relation", "--ramified", "2,3", "--exponents", "2=-1"]) == EXIT_USAGE
 
 
 def test_precision_exit(capsys):

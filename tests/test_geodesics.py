@@ -97,6 +97,10 @@ def test_sl2_group_orders():
     assert sl2_group_order(3) == 24
     assert sl2_group_order(4) == 48
     assert sl2_group_order(6) == 144
+    for N in range(1, 7):
+        enumerated = sum(1 for a in range(N) for b in range(N) for c in range(N)
+                         for d in range(N) if (a * d - b * c) % N == 1 % N)
+        assert sl2_group_order(N) == enumerated, N
 
 
 def test_splitting_examples():
@@ -109,6 +113,45 @@ def test_splitting_examples():
         counts[c.content] = gamma_splitting(c, 3)
     assert counts[3] == (12, 1)
     assert counts[1][0] == 0
+
+
+def _splitting_by_subgroup(cls, N):
+    """The split from the whole subgroup <gamma0, -1> mod N, as a set."""
+    if N == 1:
+        return 1, 1
+    ident = (1 % N, 0, 0, 1 % N)
+    neg = tuple(e % N for e in (-1, 0, 0, -1))
+    g0 = tuple(e % N for e in cls.gamma0)
+    powers = []
+    cur = ident
+    mstar = None
+    order = None
+    for j in range(1, 4 * sl2_group_order(N) + 2):
+        cur = tuple(e % N for e in _mat_mul(cur, g0))
+        powers.append(cur)
+        if mstar is None and (cur == ident or cur == neg):
+            mstar = j
+        if cur == ident:
+            order = j
+            break
+    assert order is not None
+    subgroup = set(powers)
+    if neg not in subgroup:
+        subgroup |= {tuple(-e % N for e in x) for x in powers}
+    if tuple(e % N for e in cls.gamma) != ident:
+        return 0, mstar
+    total = sl2_group_order(N)
+    assert total % len(subgroup) == 0
+    return total // len(subgroup), mstar
+
+
+def test_gamma_splitting_matches_subgroup_enumeration():
+    for at in range(3, 61):
+        for t in (at, -at):
+            for cls in sl2_classes(t):
+                for N in range(1, 7):
+                    expected = _splitting_by_subgroup(cls, N)
+                    assert gamma_splitting(cls, N) == expected, (t, cls.form, N)
 
 
 def test_splitting_rejects_large_level():

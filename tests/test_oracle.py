@@ -184,3 +184,12 @@ def test_coverage_smoke():
     rep = coset_coverage_nonsplit(OrderKind.J, RAMIFIED, 3, 2, 300, seed=3,
                                   deep_witnesses=60)
     assert rep.ok and 0 in rep.r_histogram  # ramified tori do reach level 0
+
+
+def test_coverage_rejects_precision_below_two():
+    # no determinant has 1 <= v(det) <= M - 1 when M < 2, so sampling cannot end
+    for M in (0, 1):
+        with pytest.raises(ValueError):
+            coset_coverage_split(OrderKind.M, 2, M, 10)
+        with pytest.raises(ValueError):
+            coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, M, 10)

@@ -10,7 +10,6 @@ from geomatch.orders import (
     OrderKind,
     congruence_subgroup_membership,
     division_embedding,
-    division_mul,
     embedding_order_level,
     exact_radical_level,
     in_normalizer,
@@ -71,11 +70,11 @@ def test_division_relations():
     md = DivisionModel(PAdicContext(3, 8))
     s = md.elt((0, 1), (0, 0))
     piD = md.pi_d()
-    left = division_mul(piD, s)
+    left = piD * s
     # pi_D * s = sigma(s) * pi_D with sigma(s) = 1 - s
     mod = 3 ** 8
     assert left.u == (0, 0) and left.w == (1 % mod, -1 % mod)
-    sq = division_mul(piD, piD)
+    sq = piD * piD
     assert sq.u == (3, 0) and sq.w == (0, 0)
     assert sq.norm_int() % mod == 9 % mod
 

@@ -17,14 +17,13 @@ from geomatch.padic import (
     split_torus,
     torus_generator,
     unramified_torus,
-    valuation,
 )
 
 
 def test_valuation_examples():
-    assert valuation(3, PAdicContext(3, 6)) == 1
-    assert valuation(1, PAdicContext(5, 6)) == 0
-    assert valuation(12, PAdicContext(2, 8)) == 2
+    assert PAdicContext(3, 6).val(3) == 1
+    assert PAdicContext(5, 6).val(1) == 0
+    assert PAdicContext(2, 8).val(12) == 2
 
 
 def test_valuation_guard():
