@@ -34,12 +34,9 @@ from .padic import (
     PrecisionExhausted,
     classify_torus,
     default_precision,
+    is_prime,
     torus_generator,
 )
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,10 @@ class RamifiedLevelData:
         if len(ram) % 2 or len(ram) < 2:
             raise ValueError("ramification set must have even cardinality >= 2")
         for p in ram:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         for p, n in exponents.items():
-            if not _is_prime(p) or n < 0:
+            if not is_prime(p) or n < 0:
                 raise ValueError("exponents must map primes to levels >= 0")
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "exponents",
@@ -119,10 +116,6 @@ class GroupDescriptor:
                 return OrderKind(kind), level
         return OrderKind.M, 0
 
-    def level_support(self) -> tuple[int, ...]:
-        return tuple(sorted({p for p, kind, level in self.entries
-                             if level > 0 or kind != "M"}))
-
     @classmethod
     def principal(cls, N: int) -> "GroupDescriptor":
         if N < 1:
@@ -131,7 +124,7 @@ class GroupDescriptor:
         n = N
         p = 2
         while n > 1:
-            if _is_prime(p) and n % p == 0:
+            if is_prime(p) and n % p == 0:
                 e = 0
                 while n % p == 0:
                     n //= p
@@ -232,7 +225,7 @@ def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
     if abs(t) <= 2:
         raise ValueError("hyperbolic traces only")
     spec = TestFunctionSpec(kind, level, include_norm_index=True)
-    return _at_canonical_element(lambda x: orbital(spec, x).value, level, t, p)
+    return _at_canonical_element(lambda x: orbital(spec, x), level, t, p)
 
 
 @lru_cache(maxsize=None)
@@ -295,18 +288,14 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
     return extract_global_constant(t) * float(prod) / float(c)
 
 
-def enumerable_level(desc: GroupDescriptor) -> int | None:
-    """Principal level N <= MAX_SPLITTING_LEVEL, where enumeration is available."""
+def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
+    """(dpsi, mode) of the group at trace t.
+
+    Enumerated where the group is Gamma(N) with N <= MAX_SPLITTING_LEVEL,
+    predicted from the local factors everywhere else.
+    """
     N = desc.principal_level()
     if N is not None and N <= MAX_SPLITTING_LEVEL:
-        return N
-    return None
-
-
-def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
-    """(dpsi, mode): enumerated where the group is a small principal level."""
-    N = enumerable_level(desc)
-    if N is not None:
         return dpsi_enumerated(N, t), "enumerated"
     return predict_dpsi(desc, t), "predicted"
 
@@ -403,8 +392,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     subsets = sorted(coeffs, key=lambda s: tuple(sorted(s)))
     descs = {s: GroupDescriptor.eichler(data, s) for s in subsets}
     cs = {s: group_c_factor(descs[s]) for s in subsets}
-    modes = {s: ("enumerated" if enumerable_level(descs[s]) is not None
-                 else "predicted") for s in subsets}
+    modes = {}
     tmax = trace_bound(x)
     psi_terms = {s: 0.0 for s in subsets}
     per_trace = []
@@ -416,7 +404,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
             row = {"t": t}
             dq = 0.0
             for s in subsets:
-                val, _ = dpsi_value(descs[s], t)
+                val, modes[s] = dpsi_value(descs[s], t)
                 psi_terms[s] += float(cs[s]) * weight * val
                 dq += float(coeffs[s]) * float(cs[s]) * val
                 row[f"dpsi[{descs[s].label}]"] = val

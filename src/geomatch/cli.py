@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -207,8 +208,8 @@ def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
                 for flag in (False, True):
                     spec = TestFunctionSpec(kind, n, flag)
                     for i, j, x in _grid(torus, span):
-                        lhs = orbital(spec, x).value
-                        rhs = oracle_orbital(spec, x).value
+                        lhs = orbital(spec, x)
+                        rhs = oracle_orbital(spec, x)
                         checked += 1
                         if lhs != rhs:
                             failures.append({
@@ -412,10 +413,28 @@ def _cfg(args, command: str, params: dict) -> RunConfig:
                      out=args.out, fmt=args.fmt or "json")
 
 
+def _x_values(args) -> list[float]:
+    """The x values a command counts up to: the report grid, or [x-max]."""
+    if args.command == "report":
+        try:
+            xs = [float(s) for s in args.x_grid.split(",") if s.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad x grid {args.x_grid!r}") from exc
+        if not xs:
+            raise UsageError("x grid is empty")
+        return xs
+    if args.command in ("spectrum", "relation"):
+        return [args.x_max]
+    return []
+
+
 def _dispatch(args) -> int:
     if (args.command in ("classes", "spectrum", "report")
             and not 1 <= args.level <= MAX_SPLITTING_LEVEL):
         raise UsageError(f"level must be in [1, {MAX_SPLITTING_LEVEL}]")
+    xs = _x_values(args)
+    if not all(math.isfinite(x) and x >= 10 for x in xs):
+        raise UsageError("x values must be finite and >= 10")
     if args.command == "verify-local":
         if args.p not in (2, 3, 5):
             raise UsageError("p must be one of 2, 3, 5")
@@ -429,8 +448,8 @@ def _dispatch(args) -> int:
 
     if args.command == "verify-matching":
         primes = _parse_primes(args.primes)
-        if any(p not in (2, 3, 5) for p in primes):
-            raise UsageError("primes must be among 2, 3, 5")
+        if not primes or any(p not in (2, 3, 5) for p in primes):
+            raise UsageError("primes must be a nonempty list among 2, 3, 5")
         if not (0 <= args.n_max <= 8):
             raise UsageError("n-max must be in [0, 8]")
         cfg = _cfg(args, "verify-matching",
@@ -444,6 +463,8 @@ def _dispatch(args) -> int:
             raise UsageError("coverage supports p in {2, 3}")
         if args.M < 2:
             raise UsageError("coverage needs M >= 2")
+        if args.samples < 1:
+            raise UsageError("coverage needs samples >= 1")
         names = (["split-M", "split-J", "nonsplit-M", "nonsplit-J"]
                  if args.decomposition == "all" else [args.decomposition])
         seed = args.seed if args.seed is not None else 0
@@ -466,8 +487,8 @@ def _dispatch(args) -> int:
         return _write_table(cfg, ["t", "class_count_sl2", "classes_in_level", "dpsi"], rows)
 
     if args.command == "spectrum":
-        if args.x_max < 10:
-            raise UsageError("x-max must be >= 10")
+        if args.x_count < 1:
+            raise UsageError("x-count must be >= 1")
         return _pgt_table(args, {"level": args.level, "x_max": args.x_max,
                                  "x_count": args.x_count},
                           _geometric_grid(args.x_max, args.x_count))
@@ -479,8 +500,6 @@ def _dispatch(args) -> int:
                                      tuple(_parse_exponents(args.exponents).items()))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if args.x_max < 10:
-            raise UsageError("x-max must be >= 10")
         cfg = _cfg(args, "relation",
                    {"ramified": ram, "exponents": args.exponents,
                     "x_max": args.x_max})
@@ -510,12 +529,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "report":
-        try:
-            xs = [float(s) for s in args.x_grid.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad x grid {args.x_grid!r}") from exc
-        if any(x < 10 for x in xs):
-            raise UsageError("grid values must be >= 10")
         return _pgt_table(args, {"level": args.level, "x_grid": xs}, xs)
 
     raise UsageError(f"unknown command {args.command!r}")

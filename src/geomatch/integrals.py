@@ -41,34 +41,11 @@ class TestFunctionSpec:
             raise ValueError("level must be >= 0")
 
 
-@dataclass(frozen=True)
-class OrbitalValue:
-    """An exact orbital integral value with its normalization ledger."""
-
-    value: Fraction
-    convention: str
-    include_norm_index: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def compatible(self, other: "OrbitalValue") -> bool:
-        return self.include_norm_index == other.include_norm_index
-
-
-SPLIT_CONVENTION = "Vol(o^x x o^x) = 1"
-FIELD_CONVENTION = "Vol(O_E^x) = 1"
-
-
 def _geometric_power_sum(q: int, rmax: int) -> int:
     """q + q^2 + ... + q^rmax (0 for rmax <= 0)."""
     if rmax <= 0:
         return 0
     return (q ** (rmax + 1) - q) // (q - 1)
-
-
-def _norm_index_factor(kind: OrderKind, n: int, q: int) -> Fraction:
-    return Fraction(1, unit_filtration_index(q, norm_image_level(kind, n)))
 
 
 def _in_unit_level(x: RegularElement, value: int, n: int) -> bool:
@@ -78,57 +55,42 @@ def _in_unit_level(x: RegularElement, value: int, n: int) -> bool:
     return x.ctx.is_unit(value) and x.ctx.val_at_least(value - 1, n)
 
 
-def orbital_split_f(x: RegularElement, n: int, include_norm_index: bool = False) -> OrbitalValue:
+def _split_f(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of f_n at a split regular pair (a, b).
 
     1_{U^n}(a) 1_{U^n}(b) / |a-b| times 1 (n = 0) or q^(3n-3)(q-1)^2(q+1).
     """
-    if x.torus.kind != SPLIT:
-        raise ValueError("split orbital asked for a field element")
+    if not (_in_unit_level(x, x.a, n) and _in_unit_level(x, x.b, n)):
+        return Fraction(0)
     q = x.ctx.q
-    val = Fraction(0)
-    if _in_unit_level(x, x.a, n) and _in_unit_level(x, x.b, n):
-        const = 1 if n == 0 else q ** (3 * n - 3) * (q - 1) ** 2 * (q + 1)
-        val = Fraction(const) * q ** x.val_gap()
-    if include_norm_index:
-        val *= _norm_index_factor(OrderKind.M, n, q)
-    return OrbitalValue(val, SPLIT_CONVENTION, include_norm_index)
+    const = 1 if n == 0 else q ** (3 * n - 3) * (q - 1) ** 2 * (q + 1)
+    return Fraction(const * q ** x.val_gap())
 
 
-def orbital_split_g(x: RegularElement, n: int, include_norm_index: bool = False) -> OrbitalValue:
+def _split_g(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of g_n at a split regular pair (a, b).
 
     2 * 1_{U^ceil(n/2)}(a) 1_{U^ceil(n/2)}(b) / |a-b| times
     1 (n = 0) or q^(n + ceil(n/2) - 2) (q-1)^2.
     """
-    if x.torus.kind != SPLIT:
-        raise ValueError("split orbital asked for a field element")
-    q = x.ctx.q
     k = (n + 1) // 2
-    val = Fraction(0)
-    if _in_unit_level(x, x.a, k) and _in_unit_level(x, x.b, k):
-        const = 1 if n == 0 else q ** (n + k - 2) * (q - 1) ** 2
-        val = 2 * Fraction(const) * q ** x.val_gap()
-    if include_norm_index:
-        val *= _norm_index_factor(OrderKind.J, n, q)
-    return OrbitalValue(val, SPLIT_CONVENTION, include_norm_index)
+    if not (_in_unit_level(x, x.a, k) and _in_unit_level(x, x.b, k)):
+        return Fraction(0)
+    q = x.ctx.q
+    const = 1 if n == 0 else q ** (n + k - 2) * (q - 1) ** 2
+    return Fraction(2 * const * q ** x.val_gap())
 
 
-def orbital_division(x: RegularElement, n: int, include_norm_index: bool = False) -> OrbitalValue:
+def _division(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of phi_n at a regular element of a field torus.
 
     (2/e) * 1_{U_E^ceil(en/2)}(x) times 1 (n = 0) or q^(2n)(1 - q^-2).
     """
-    if x.torus.kind == SPLIT:
-        raise ValueError("division orbital needs a field torus")
     q, e = x.ctx.q, x.torus.e
-    val = Fraction(0)
-    if x.in_unit_filtration((e * n + 1) // 2):
-        const = Fraction(1) if n == 0 else Fraction(q ** (2 * n)) * (1 - Fraction(1, q * q))
-        val = Fraction(2, e) * const
-    if include_norm_index:
-        val *= _norm_index_factor(OrderKind.D, n, q)
-    return OrbitalValue(val, FIELD_CONVENTION, include_norm_index)
+    if not x.in_unit_filtration((e * n + 1) // 2):
+        return Fraction(0)
+    const = Fraction(1) if n == 0 else Fraction(q ** (2 * n)) * (1 - Fraction(1, q * q))
+    return Fraction(2, e) * const
 
 
 def _ce(q: int, e: int) -> Fraction:
@@ -136,80 +98,71 @@ def _ce(q: int, e: int) -> Fraction:
     return (1 - Fraction(1, q * q)) / (1 - Fraction(1, q ** e))
 
 
-def orbital_nonsplit_f(x: RegularElement, n: int, include_norm_index: bool = False) -> OrbitalValue:
+def _nonsplit_f(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of f_n at a regular element of a field torus.
 
     The quadratic-order coset sum is finite: the r-th term survives iff
     v(alpha-1) >= n and v(beta) >= n + r, so r runs to v(beta) - n.
     """
-    if x.torus.kind == SPLIT:
-        raise ValueError("nonsplit orbital asked for a split pair")
     ctx, q, e = x.ctx, x.ctx.q, x.torus.e
     ce = _ce(q, e)
     if n == 0:
         if not x.is_unit():
-            braces = Fraction(0)
-        else:
-            braces = 1 + ce * _geometric_power_sum(q, x.conductor())
-        const = Fraction(1)
-    else:
-        if not ctx.val_at_least(x.alpha - 1, n):
-            braces = Fraction(0)
-        else:
-            head = 1 if ctx.val_at_least(x.beta, n) else 0
-            braces = head + ce * _geometric_power_sum(q, x.conductor() - n)
-        const = (Fraction(q ** (4 * n)) * (1 - Fraction(1, q)) * (1 - Fraction(1, q * q)))
-    val = braces * const
-    if include_norm_index:
-        val *= _norm_index_factor(OrderKind.M, n, q)
-    return OrbitalValue(val, FIELD_CONVENTION, include_norm_index)
+            return Fraction(0)
+        return 1 + ce * _geometric_power_sum(q, x.conductor())
+    if not ctx.val_at_least(x.alpha - 1, n):
+        return Fraction(0)
+    head = 1 if ctx.val_at_least(x.beta, n) else 0
+    braces = head + ce * _geometric_power_sum(q, x.conductor() - n)
+    return braces * Fraction(q ** (4 * n)) * (1 - Fraction(1, q)) * (1 - Fraction(1, q * q))
 
 
-def orbital_nonsplit_g(x: RegularElement, n: int, include_norm_index: bool = False) -> OrbitalValue:
+def _nonsplit_g(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of g_n at a regular element of a field torus.
 
     The ramified-only head is 1_{e=2} 1_{U_E^n}(x); the r-th coset term uses
     the order index shifted by one for odd n, so r runs to
     v(beta) - ceil(n/2) + (n odd).
     """
-    if x.torus.kind == SPLIT:
-        raise ValueError("nonsplit orbital asked for a split pair")
     ctx, q, e = x.ctx, x.ctx.q, x.torus.e
     ce = _ce(q, e)
     if n == 0:
         if not x.is_unit():
-            braces = Fraction(0)
-        else:
-            head = 1 if e == 2 else 0
-            braces = head + 2 * ce * _geometric_power_sum(q, x.conductor())
-        const = Fraction(1)
-    else:
-        k = (n + 1) // 2
-        head = Fraction(1) if (e == 2 and x.in_unit_filtration(n)) else Fraction(0)
-        tail = Fraction(0)
-        if ctx.val_at_least(x.alpha - 1, k):
-            rmax = x.conductor() - k + (n % 2)
-            tail = 2 * ce * _geometric_power_sum(q, rmax)
-        braces = head + tail
-        const = Fraction(q ** (2 * n)) * (1 - Fraction(1, q)) ** 2
-    val = braces * const
-    if include_norm_index:
-        val *= _norm_index_factor(OrderKind.J, n, q)
-    return OrbitalValue(val, FIELD_CONVENTION, include_norm_index)
+            return Fraction(0)
+        head = 1 if e == 2 else 0
+        return head + 2 * ce * _geometric_power_sum(q, x.conductor())
+    k = (n + 1) // 2
+    head = Fraction(1) if (e == 2 and x.in_unit_filtration(n)) else Fraction(0)
+    tail = Fraction(0)
+    if ctx.val_at_least(x.alpha - 1, k):
+        rmax = x.conductor() - k + (n % 2)
+        tail = 2 * ce * _geometric_power_sum(q, rmax)
+    return (head + tail) * Fraction(q ** (2 * n)) * (1 - Fraction(1, q)) ** 2
 
 
-def orbital(spec: TestFunctionSpec, x: RegularElement) -> OrbitalValue:
-    """Dispatch on kind and torus: the closed-form value of spec at x."""
-    flag = spec.include_norm_index
-    if spec.kind is OrderKind.D:
-        if x.torus.kind == SPLIT:
-            return OrbitalValue(Fraction(0), SPLIT_CONVENTION, flag)
-        return orbital_division(x, spec.n, flag)
-    if x.torus.kind == SPLIT:
-        fn = orbital_split_f if spec.kind is OrderKind.M else orbital_split_g
-    else:
-        fn = orbital_nonsplit_f if spec.kind is OrderKind.M else orbital_nonsplit_g
-    return fn(x, spec.n, flag)
+# (kind, split torus?) -> closed form; phi_n on the split torus is 0
+_CLOSED_FORMS = {
+    (OrderKind.M, True): _split_f,
+    (OrderKind.J, True): _split_g,
+    (OrderKind.M, False): _nonsplit_f,
+    (OrderKind.J, False): _nonsplit_g,
+    (OrderKind.D, False): _division,
+}
+
+
+def orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
+    """The closed-form value of spec at x, an exact Fraction.
+
+    With spec.include_norm_index the value is divided by [o^x : U_o^m], m the
+    level of the det/nu image of U^n.
+    """
+    split = x.torus.kind == SPLIT
+    if spec.kind is OrderKind.D and split:
+        return Fraction(0)
+    val = _CLOSED_FORMS[spec.kind, split](x, spec.n)
+    if spec.include_norm_index:
+        val /= unit_filtration_index(x.ctx.q, norm_image_level(spec.kind, spec.n))
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +228,8 @@ def matched_value(q: int, n: int, x: RegularElement,
                   include_norm_index: bool = False) -> Fraction:
     """a * O(f_{n1}) + b * O(g_{n2}) at x, the matrix side of the matching."""
     combo = matching_combination(q, n)
-    vf = orbital(TestFunctionSpec(OrderKind.M, combo.f_level, include_norm_index), x).value
-    vg = orbital(TestFunctionSpec(OrderKind.J, combo.g_level, include_norm_index), x).value
+    vf = orbital(TestFunctionSpec(OrderKind.M, combo.f_level, include_norm_index), x)
+    vg = orbital(TestFunctionSpec(OrderKind.J, combo.g_level, include_norm_index), x)
     return combo.coeff_f * vf + combo.coeff_g * vg
 
 
@@ -289,8 +242,5 @@ def verify_matching(q: int, n: int, x: RegularElement,
     if q != x.ctx.q:
         raise ValueError("q must match the element's residue size")
     lhs = matched_value(q, n, x, include_norm_index)
-    if x.torus.kind == SPLIT:
-        rhs = Fraction(0)
-    else:
-        rhs = orbital_division(x, n, include_norm_index).value
+    rhs = orbital(TestFunctionSpec(OrderKind.D, n, include_norm_index), x)
     return MatchReport(q, n, x.torus.kind, lhs, rhs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .integrals import FIELD_CONVENTION, SPLIT_CONVENTION, OrbitalValue, TestFunctionSpec
+from .integrals import TestFunctionSpec
 from .orders import (
     DivisionModel,
     MatElt,
@@ -319,7 +319,7 @@ def split_side_factor(torus: TorusData, kind: OrderKind, span: int = 4) -> int:
 # the brute-force orbital integral
 
 
-def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> OrbitalValue:
+def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
     """Coset-by-coset recomputation of the orbital integral.
 
     Volumes come from enumerated indices; indicators from explicit matrix or
@@ -332,29 +332,26 @@ def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> OrbitalValue:
     n = spec.n
     if torus.kind == SPLIT:
         if spec.kind is OrderKind.D:
-            return OrbitalValue(Fraction(0), SPLIT_CONVENTION, spec.include_norm_index)
+            return Fraction(0)
         r_max = x.val_gap() + 1
         if r_max + n + ctx.guard >= ctx.M:
             raise PrecisionExhausted("raise M: split truncation bound too close")
         side = split_side_factor(torus, spec.kind)
         unit_index = enum_order_unit_index(spec.kind, p, n)
-        total = Fraction(0)
+        value = Fraction(0)
         for r in range(r_max + 1):
             ratio = 1 if r == 0 else enum_unit_filtration_index(p, r)
             ind = congruence_subgroup_membership(spec.kind, split_conjugate(torus, x, r), n)
             if r == r_max and ind:
                 raise AssertionError("split coset sum failed to truncate")
             if ind:
-                total += side * ratio * unit_index
-        value = total
-        convention = SPLIT_CONVENTION
+                value += side * ratio * unit_index
     elif spec.kind is OrderKind.D:
         demb = division_embedding(torus, DivisionModel(ctx))
         side = 1 if demb.xi.vd_exact() % 2 else 2
         ind = congruence_subgroup_membership(OrderKind.D, demb.of(x), n)
         value = Fraction(side * enum_order_unit_index(OrderKind.D, p, n)) if ind \
             else Fraction(0)
-        convention = FIELD_CONVENTION
     else:
         r_max = x.conductor() + 1
         if r_max + n + ctx.guard >= ctx.M:
@@ -365,7 +362,7 @@ def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> OrbitalValue:
                 raise AssertionError("unexpected level-0 Iwahori embedding")
             r_min = 1
         unit_index = enum_order_unit_index(spec.kind, p, n)
-        total = Fraction(0)
+        value = Fraction(0)
         for r in range(r_min, r_max + 1):
             emb = checked_embedding(torus, spec.kind, r)
             ratio = enum_quad_order_index(torus, r)
@@ -374,13 +371,11 @@ def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> OrbitalValue:
             if r == r_max and ind:
                 raise AssertionError("field coset sum failed to truncate")
             if ind:
-                total += side * ratio * unit_index
-        value = total
-        convention = FIELD_CONVENTION
+                value += side * ratio * unit_index
     if spec.include_norm_index:
         _, index = enum_norm_image(spec.kind, p, n)
-        value = Fraction(value) / index
-    return OrbitalValue(Fraction(value), convention, spec.include_norm_index)
+        value /= index
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +625,13 @@ def _coset_disjoint_split(work: PAdicContext, kind: OrderKind, r1: int,
     return True
 
 
+def _check_coverage_size(M: int, samples: int):
+    if M < 2:
+        raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
+    if samples < 1:
+        raise ValueError("coverage needs samples >= 1")
+
+
 def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
                          seed: int = 0) -> CoverageReport:
     """Sample matrices over Z/p^M and certify the split coset decomposition.
@@ -639,8 +641,7 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
     Every sample gets a constructive witness for its classified coset, and
     pairwise disjointness of all cosets in range is certified once.
     """
-    if M < 2:
-        raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
+    _check_coverage_size(M, samples)
     name = "split-M" if kind is OrderKind.M else "split-J"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
@@ -740,8 +741,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
     For the Iwahori order over an unramified torus a level-0 assignment is a
     violation (there is no such optimal embedding).
     """
-    if M < 2:
-        raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
+    _check_coverage_size(M, samples)
     name = f"nonsplit-{kind.value}"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))

@@ -79,10 +79,6 @@ class MatElt:
         return MatElt(self.ctx, *((x + y) % m for x, y in zip(self.entries, other.entries)),
                       self.den)
 
-    def __neg__(self) -> "MatElt":
-        m = self.ctx.modulus
-        return MatElt(self.ctx, *((-x) % m for x in self.entries), self.den)
-
     def minus_identity(self) -> "MatElt":
         """x - 1 at the same denominator."""
         m = self.ctx.modulus

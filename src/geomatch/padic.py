@@ -31,6 +31,11 @@ class NonHyperbolicTrace(ValueError):
     """Raised for traces t with |t| <= 2."""
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; every prime in use here is small."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def integer_valuation(n: int, p: int) -> int:
     """Exact p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -55,7 +60,7 @@ class PAdicContext:
     guard: int = DEFAULT_GUARD
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.M < 1:
             raise ValueError("precision M must be >= 1")
@@ -203,10 +208,6 @@ class TorusData:
     def e(self) -> int:
         return 2 if self.kind == RAMIFIED else 1
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != SPLIT
-
     def element(self, *coords: int) -> "RegularElement":
         return RegularElement(self, tuple(self.ctx.reduce(c) for c in coords))
 
@@ -257,10 +258,6 @@ class RegularElement:
     def conductor(self) -> int:
         """v(beta): the largest r with x in L_r = o + p^r O_E."""
         return self.ctx.val(self.beta)
-
-    def val_alpha_minus_1(self) -> int:
-        """v(alpha - 1); raises when it exceeds the guard band."""
-        return self.ctx.val(self.alpha - 1)
 
     def norm(self) -> int:
         """Reduced norm over Q_p."""

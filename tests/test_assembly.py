@@ -171,12 +171,12 @@ def test_local_factor_examples():
     # when the generator misses U^1; split Iwahori level 0 is the g_0 value
     assert local_factor(OrderKind.M, 0, 3, 7) == 1
     assert local_factor(OrderKind.M, 1, 3, 5) == 0
-    from geomatch.integrals import orbital_split_g
+    from geomatch.integrals import TestFunctionSpec, orbital
     from geomatch.padic import classify_torus, torus_generator
     tor = classify_torus(3, 11)
     x = torus_generator(tor, 3)
     assert local_factor(OrderKind.J, 0, 3, 11) == \
-        orbital_split_g(x, 0, include_norm_index=True).value == 2
+        orbital(TestFunctionSpec(OrderKind.J, 0, True), x) == 2
 
 
 def test_relation_all_terms_vanish():

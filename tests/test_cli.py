@@ -30,6 +30,18 @@ def test_usage_errors(capsys):
     assert main(["coverage", "--M", "0"]) == EXIT_USAGE
     assert main(["coverage", "--M", "1"]) == EXIT_USAGE
     assert main(["relation", "--ramified", "2,3", "--exponents", "2=-1"]) == EXIT_USAGE
+    # inputs that would certify or count nothing
+    assert main(["coverage", "--samples", "0", "--M", "2"]) == EXIT_USAGE
+    assert main(["coverage", "--samples", "-5"]) == EXIT_USAGE
+    assert main(["verify-matching", "--primes", ","]) == EXIT_USAGE
+    assert main(["report", "--x-grid", ","]) == EXIT_USAGE
+    assert main(["spectrum", "--x-count", "0"]) == EXIT_USAGE
+    assert main(["spectrum", "--x-count", "-3"]) == EXIT_USAGE
+    # non-finite x
+    for x in ("nan", "inf"):
+        assert main(["spectrum", "--x-max", x]) == EXIT_USAGE
+    assert main(["relation", "--x-max", "nan"]) == EXIT_USAGE
+    assert main(["report", "--x-grid", "nan"]) == EXIT_USAGE
 
 
 def test_precision_exit(capsys):

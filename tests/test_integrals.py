@@ -7,11 +7,6 @@ from geomatch.integrals import (
     matched_value,
     matching_combination,
     orbital,
-    orbital_division,
-    orbital_nonsplit_f,
-    orbital_nonsplit_g,
-    orbital_split_f,
-    orbital_split_g,
     verify_matching,
     TestFunctionSpec,
 )
@@ -35,42 +30,42 @@ def field_tori(p, M=14):
 
 def test_split_f_values():
     tor3, tor2 = split_torus(3, 10), split_torus(2, 10)
-    assert orbital_split_f(tor3.element(4, 1), 0).value == 3
-    assert orbital_split_f(tor2.element(3, 1), 1).value == 6
-    assert orbital_split_f(tor3.element(2, 1), 2).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.M, 0), tor3.element(4, 1)) == 3
+    assert orbital(TestFunctionSpec(OrderKind.M, 1), tor2.element(3, 1)) == 6
+    assert orbital(TestFunctionSpec(OrderKind.M, 2), tor3.element(2, 1)) == 0
 
 
 def test_split_g_values():
     tor3, tor2 = split_torus(3, 10), split_torus(2, 10)
-    assert orbital_split_g(tor3.element(4, 1), 0).value == 6
-    assert orbital_split_g(tor2.element(5, 1), 2).value == 16
-    assert orbital_split_g(tor3.element(2, 1), 1).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.J, 0), tor3.element(4, 1)) == 6
+    assert orbital(TestFunctionSpec(OrderKind.J, 2), tor2.element(5, 1)) == 16
+    assert orbital(TestFunctionSpec(OrderKind.J, 1), tor3.element(2, 1)) == 0
 
 
 def test_division_values():
     tr2 = ramified_torus(2, 10)
-    assert orbital_division(tr2.element(3, 1), 1).value == 3
+    assert orbital(TestFunctionSpec(OrderKind.D, 1), tr2.element(3, 1)) == 3
     tu3 = unramified_torus(3, 10)
-    assert orbital_division(tu3.element(2, 1), 0).value == 2
+    assert orbital(TestFunctionSpec(OrderKind.D, 0), tu3.element(2, 1)) == 2
     tu2 = unramified_torus(2, 10)
     # e = 1, n = 2: the indicator level is ceil(en/2) = 1, so membership in
     # U^1 already switches the value on
-    assert orbital_division(tu2.element(3, 2), 2).value == 24
-    assert orbital_division(tu2.element(2, 1), 2).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.D, 2), tu2.element(3, 2)) == 24
+    assert orbital(TestFunctionSpec(OrderKind.D, 2), tu2.element(2, 1)) == 0
 
 
 def test_nonsplit_f_values():
     tu2, tu3 = unramified_torus(2, 10), unramified_torus(3, 10)
-    assert orbital_nonsplit_f(tu2.element(3, 2), 1).value == 6
-    assert orbital_nonsplit_f(tu3.element(10, 27), 1).value == 816
-    assert orbital_nonsplit_f(tu3.element(2, 3), 1).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.M, 1), tu2.element(3, 2)) == 6
+    assert orbital(TestFunctionSpec(OrderKind.M, 1), tu3.element(10, 27)) == 816
+    assert orbital(TestFunctionSpec(OrderKind.M, 1), tu3.element(2, 3)) == 0
 
 
 def test_nonsplit_g_values():
     tr2, tu2, tu3 = ramified_torus(2, 10), unramified_torus(2, 10), unramified_torus(3, 10)
-    assert orbital_nonsplit_g(tr2.element(3, 1), 1).value == 1
-    assert orbital_nonsplit_g(tu2.element(3, 2), 0).value == 6
-    assert orbital_nonsplit_g(tu3.element(2, 9), 2).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.J, 1), tr2.element(3, 1)) == 1
+    assert orbital(TestFunctionSpec(OrderKind.J, 0), tu2.element(3, 2)) == 6
+    assert orbital(TestFunctionSpec(OrderKind.J, 2), tu3.element(2, 9)) == 0
 
 
 def test_matching_combination_cases():
@@ -136,13 +131,11 @@ def test_even_level_proof_values(p):
 
 def test_orbital_dispatch_division_on_split_is_zero():
     tor = split_torus(3, 10)
-    assert orbital(TestFunctionSpec(OrderKind.D, 2), tor.element(4, 1)).value == 0
+    assert orbital(TestFunctionSpec(OrderKind.D, 2), tor.element(4, 1)) == 0
 
 
 def test_norm_index_flag_recorded():
     tor = split_torus(3, 10)
-    a = orbital_split_f(tor.element(4, 1), 1, include_norm_index=True)
-    b = orbital_split_f(tor.element(4, 1), 1)
-    assert a.include_norm_index and not b.include_norm_index
-    assert not a.compatible(b)
-    assert a.value * 2 == b.value  # [o^x : U_o^1] = 2 at q = 3
+    a = orbital(TestFunctionSpec(OrderKind.M, 1, True), tor.element(4, 1))
+    b = orbital(TestFunctionSpec(OrderKind.M, 1), tor.element(4, 1))
+    assert a * 2 == b  # [o^x : U_o^1] = 2 at q = 3

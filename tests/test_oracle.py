@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from geomatch.integrals import TestFunctionSpec, orbital
@@ -96,10 +98,13 @@ def test_iwahori_level_zero_empty():
 
 def test_oracle_examples():
     tor2 = split_torus(2, 12)
-    assert oracle_orbital(TestFunctionSpec(OrderKind.M, 1), tor2.element(3, 1)).value == 6
+    assert oracle_orbital(TestFunctionSpec(OrderKind.M, 1), tor2.element(3, 1)) == 6
     tr2 = ramified_torus(2, 12)
-    assert oracle_orbital(TestFunctionSpec(OrderKind.D, 1), tr2.element(3, 1)).value == 3
-    assert oracle_orbital(TestFunctionSpec(OrderKind.M, 0), tor2.element(3, 1)).value == 2
+    assert oracle_orbital(TestFunctionSpec(OrderKind.D, 1), tr2.element(3, 1)) == 3
+    assert oracle_orbital(TestFunctionSpec(OrderKind.M, 0), tor2.element(3, 1)) == 2
+    for spec in (TestFunctionSpec(OrderKind.M, 1), TestFunctionSpec(OrderKind.D, 1, True)):
+        for x in (tor2.element(3, 1), tr2.element(3, 1)):
+            assert type(orbital(spec, x)) is type(oracle_orbital(spec, x)) is Fraction
 
 
 def _grid_elements(tor, p, span=3):
@@ -124,7 +129,7 @@ def test_oracle_agreement_subgrid(p):
             for n in range(0, 4):
                 spec = TestFunctionSpec(kind, n)
                 for x in _grid_elements(tor, p):
-                    assert orbital(spec, x).value == oracle_orbital(spec, x).value
+                    assert orbital(spec, x) == oracle_orbital(spec, x)
 
 
 def test_radical_intersection_branches():
@@ -170,7 +175,7 @@ def test_oracle_agreement_randomized(data):
         beta = data.draw(st.integers(1, p ** 9).filter(lambda v: v % p ** 6))
         x = tor.element(alpha, beta)
     spec = TestFunctionSpec(kind, n, data.draw(st.booleans()))
-    assert orbital(spec, x).value == oracle_orbital(spec, x).value
+    assert orbital(spec, x) == oracle_orbital(spec, x)
 
 
 def test_coverage_smoke():
@@ -187,9 +192,11 @@ def test_coverage_smoke():
 
 
 def test_coverage_rejects_precision_below_two():
-    # no determinant has 1 <= v(det) <= M - 1 when M < 2, so sampling cannot end
-    for M in (0, 1):
+    # no determinant has 1 <= v(det) <= M - 1 when M < 2, so sampling cannot
+    # end; a run that draws no sample certifies nothing
+    for M, samples in ((0, 10), (1, 10), (2, 0), (3, -5)):
         with pytest.raises(ValueError):
-            coset_coverage_split(OrderKind.M, 2, M, 10)
+            coset_coverage_split(OrderKind.M, 2, M, samples)
         with pytest.raises(ValueError):
-            coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, M, 10)
+            coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, M, samples)
+
