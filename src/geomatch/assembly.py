@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesics import MAX_SPLITTING_LEVEL, dpsi_enumerated, trace_bound
+from .geodesics import MAX_SPLITTING_LEVEL, dpsi_enumerated, signed_traces, trace_bound
 from .integrals import (
     matched_value,
     matching_combination,
@@ -175,26 +175,20 @@ class GroupDescriptor:
         return N
 
 
-def minus_one_in_group(desc: GroupDescriptor) -> bool:
-    """Whether -1 satisfies every local congruence, by explicit membership."""
+@lru_cache(maxsize=None)
+def group_c_factor(desc: GroupDescriptor) -> Fraction:
+    """1/2 when -1 satisfies every local congruence, by explicit membership, else 1."""
     for p, kind, level in desc.entries:
         if level == 0:
             continue
         ctx = PAdicContext(p, level + 4)
         if kind == "D":
-            model = DivisionModel(ctx)
-            elt = model.elt((-1, 0), (0, 0))
-            if not congruence_subgroup_membership(OrderKind.D, elt, level):
-                return False
+            neg = DivisionModel(ctx).elt((-1, 0), (0, 0))
         else:
             neg = MatElt.from_rows(ctx, ((-1, 0), (0, -1)))
-            if not congruence_subgroup_membership(OrderKind(kind), neg, level):
-                return False
-    return True
-
-
-def group_c_factor(desc: GroupDescriptor) -> Fraction:
-    return Fraction(1, 2) if minus_one_in_group(desc) else Fraction(1)
+        if not congruence_subgroup_membership(OrderKind(kind), neg, level):
+            return Fraction(1)
+    return Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +385,24 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     coeffs = subset_coefficients(data)
     subsets = sorted(coeffs, key=lambda s: tuple(sorted(s)))
     descs = {s: GroupDescriptor.eichler(data, s) for s in subsets}
-    cs = {s: group_c_factor(descs[s]) for s in subsets}
     modes = {}
     tmax = trace_bound(x)
     psi_terms = {s: 0.0 for s in subsets}
     per_trace = []
     qdesc = GroupDescriptor.quaternion(data)
     c_q = group_c_factor(qdesc)
-    for at in range(3, tmax + 1):
-        for t in (at, -at):
-            weight = 2.0 * math.sqrt(at - 2)
-            row = {"t": t}
-            dq = 0.0
-            for s in subsets:
-                val, modes[s] = dpsi_value(descs[s], t)
-                psi_terms[s] += float(cs[s]) * weight * val
-                dq += float(coeffs[s]) * float(cs[s]) * val
-                row[f"dpsi[{descs[s].label}]"] = val
-            row["dpsi_quaternion"] = dq / float(c_q)
-            per_trace.append(row)
+    for t in signed_traces(3, tmax):
+        weight = 2.0 * math.sqrt(abs(t) - 2)
+        row = {"t": t}
+        dq = 0.0
+        for s in subsets:
+            val, modes[s] = dpsi_value(descs[s], t)
+            c = float(group_c_factor(descs[s]))
+            psi_terms[s] += c * weight * val
+            dq += float(coeffs[s]) * c * val
+            row[f"dpsi[{descs[s].label}]"] = val
+        row["dpsi_quaternion"] = dq / float(c_q)
+        per_trace.append(row)
     terms = tuple(PsiRelationTerm(tuple(sorted(s)), coeffs[s], psi_terms[s], modes[s])
                   for s in subsets)
     psi_q = 0.0

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 identity violation found, 2 precision exhausted,
 3 enumeration too large, 64 usage error.  Reports embed the tool version,
 the effective configuration, the seed, and the normalization ledger; output
-is deterministic for a fixed (config, seed) at any parallelism degree.
+is deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import __version__
 from .assembly import (
     RamifiedLevelData,
     psi_relation,
 )
-from .geodesics import MAX_SPLITTING_LEVEL, pgt_report, trace_row
+from .geodesics import MAX_SPLITTING_LEVEL, pgt_report, signed_traces, trace_row
 from .geodesics import sl2_classes  # noqa: F401  (read by the benchmark harness)
 from .integrals import TestFunctionSpec, orbital, verify_matching
 from .oracle import (
@@ -79,32 +77,22 @@ class RunConfig:
     command: str
     params: dict
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     fmt: str = "json"
 
     def echo(self) -> dict:
-        return {"command": self.command, "seed": self.seed, "threads": self.threads,
-                "format": self.fmt,
+        return {"command": self.command, "seed": self.seed, "format": self.fmt,
                 **{k: (str(v) if isinstance(v, Fraction) else v)
                    for k, v in self.params.items()}}
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GEOMATCH_THREADS", "1")))
-    except ValueError:
-        return 1
+def pmap(fn, items):
+    """In-order map, kept only because the benchmark's tracer wraps it.
 
-
-def pmap(fn, items):  # no caller in geomatch; the benchmark harness traces it
-    """Order-preserving map honoring GEOMATCH_THREADS (deterministic merge)."""
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with Pool(processes=min(n, len(items))) as pool:
-        return pool.map(fn, items)
+    Nothing in geomatch calls it; it is deleted together with the tracer's
+    cli.pmap layers when the benchmark is next refreshed (ROADMAP item 5).
+    """
+    return [fn(it) for it in items]
 
 
 def fmt_float(v: float) -> str:
@@ -189,7 +177,7 @@ def _grid(torus, span: int):
                 yield i, j, torus.element(1 + p ** i, p ** j)
 
 
-def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
+def run_verify_local(p: int, n_max: int, M: int) -> dict:
     """Closed form against the brute-force oracle over a coordinate grid.
 
     M must leave the guard band above n_max; the working precision of the
@@ -197,8 +185,7 @@ def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
     """
     if M < n_max + 2:
         raise PrecisionExhausted(f"M = {M} cannot decide level-{n_max} congruences")
-    if p == 5:
-        span = min(span, 1)  # the 2^20 enumeration cap binds earlier at p = 5
+    span = 1 if p == 5 else 3  # the 2^20 enumeration cap binds earlier at p = 5
     work = max(M, span + n_max + 6)
     failures = []
     checked = 0
@@ -239,8 +226,9 @@ def run_verify_local(p: int, n_max: int, M: int, span: int = 3) -> dict:
             "ok": not failures and not inter and not idx}
 
 
-def run_verify_matching(primes, n_max: int, span: int = 4) -> dict:
+def run_verify_matching(primes, n_max: int) -> dict:
     """Split vanishing and field matching over the supported grids."""
+    span = 4
     failures = []
     checked = 0
     for p in primes:
@@ -409,7 +397,6 @@ def main(argv=None) -> int:
 def _cfg(args, command: str, params: dict) -> RunConfig:
     return RunConfig(command=command, params=params,
                      seed=args.seed if args.seed is not None else 0,
-                     threads=_threads(),
                      out=args.out, fmt=args.fmt or "json")
 
 
@@ -482,8 +469,8 @@ def _dispatch(args) -> int:
         cfg = _cfg(args, "classes",
                    {"t_min": args.t_min, "t_max": args.t_max, "level": args.level})
         rows = [[r.t, r.class_count_sl2, r.classes_in_level, r.dpsi]
-                for at in range(args.t_min, args.t_max + 1)
-                for r in (trace_row(args.level, at), trace_row(args.level, -at))]
+                for r in (trace_row(args.level, t)
+                          for t in signed_traces(args.t_min, args.t_max))]
         return _write_table(cfg, ["t", "class_count_sl2", "classes_in_level", "dpsi"], rows)
 
     if args.command == "spectrum":
@@ -523,8 +510,7 @@ def _dispatch(args) -> int:
                 keys = [k for k in row if k.startswith("dpsi[")]
                 rows.append([row["t"]] + [row[k] for k in keys]
                             + [row["dpsi_quaternion"]])
-            ccfg = RunConfig(cfg.command, cfg.params, cfg.seed, cfg.threads,
-                             args.csv_out, "csv")
+            ccfg = replace(cfg, out=args.csv_out, fmt="csv")
             _write(ccfg, emit_csv(ccfg, header, rows))
         return EXIT_OK
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import NonHyperbolicTrace
+from .padic import EnumerationTooLarge, NonHyperbolicTrace
 
 MAX_SPLITTING_LEVEL = 6
+MAX_TRACE = 3162  # trace_bound(1e7): every count reaches x = 1e7
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +260,16 @@ def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
     return cls
 
 
-def class_count_bruteforce(t: int, bound: int = 30, closure: int = 400) -> int:
+def class_count_bruteforce(t: int) -> int:
     """Independent class count: enumerate bounded matrices, merge conjugates.
 
     Seeds are all trace-t determinant-1 matrices with entries bounded by
-    `bound`; the conjugation graph under the two standard generators is
-    explored inside the larger `closure` box and components are counted.
+    30; the conjugation graph under the two standard generators is explored
+    inside the larger box of entries bounded by 400 and components are counted.
     """
     if abs(t) <= 2:
         raise NonHyperbolicTrace(str(t))
+    bound, closure = 30, 400
     seeds = set()
     for a in range(-bound, bound + 1):
         d = t - a
@@ -413,9 +415,22 @@ def trace_row(N: int, t: int) -> TraceRow:
                     float(c_factor(N)) * 2.0 * weight)
 
 
+def signed_traces(t_min: int, t_max: int):
+    """Yield t_min, -t_min, t_min + 1, -(t_min + 1), ..., t_max, -t_max.
+
+    Raises EnumerationTooLarge, before yielding anything, when t_max exceeds
+    MAX_TRACE.
+    """
+    if t_max > MAX_TRACE:
+        raise EnumerationTooLarge(f"trace {t_max} exceeds the cap {MAX_TRACE}")
+    for at in range(t_min, t_max + 1):
+        yield at
+        yield -at
+
+
 def trace_table(N: int, tmax: int) -> list[TraceRow]:
     """Rows for t = 3, -3, 4, -4, ..., tmax, -tmax."""
-    return [trace_row(N, t) for at in range(3, tmax + 1) for t in (at, -at)]
+    return [trace_row(N, t) for t in signed_traces(3, tmax)]
 
 
 def dpsi_enumerated(N: int, t: int) -> float:

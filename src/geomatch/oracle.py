@@ -27,12 +27,12 @@ from .orders import (
     exact_radical_level,
     in_normalizer,
     order_membership,
-    pi_matrix,
     pi_matrix_inv,
     radical_power_membership,
     split_conjugate,
 )
 from .padic import (
+    GUARD,
     EnumerationTooLarge,
     PAdicContext,
     PrecisionExhausted,
@@ -223,13 +223,16 @@ def _canonical_torus(kind: str, p: int, M: int) -> TorusData:
 # embeddings checked rather than trusted
 
 
-def verify_embedding_optimal(emb: MatrixEmbedding, span: int = 3) -> bool:
-    """Lattice check: emb(alpha + beta theta0) integral iff v(beta) >= level."""
+def verify_embedding_optimal(emb: MatrixEmbedding) -> bool:
+    """Lattice check: emb(alpha + beta theta0) integral iff v(beta) >= level.
+
+    Scans v(alpha), v(beta) in 0..3 with unit parts 1 and -1.
+    """
     ctx = emb.torus.ctx
     p = ctx.p
     units = (1,) if p == 2 else (1, p - 1)
-    for i in range(span + 1):
-        for j in range(span + 1):
+    for i in range(4):
+        for j in range(4):
             for ua in units:
                 for ub in units:
                     got = order_membership(emb.kind,
@@ -257,7 +260,7 @@ def iwahori_level_zero_missing(torus: TorusData) -> bool:
     ctx = torus.ctx
     p = ctx.p
     cand = MatElt.from_rows(ctx, ((0, 1), (-torus.N, torus.T)))
-    if embedding_order_level(torus, OrderKind.J, cand) == 0:
+    if embedding_order_level(OrderKind.J, cand) == 0:
         return False
     for rows in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
                  ((1, 0), (1, 1)), ((1, 0), (0, p)), ((p, 0), (0, 1)),
@@ -268,7 +271,7 @@ def iwahori_level_zero_missing(torus: TorusData) -> bool:
         except (ValueError, PrecisionExhausted):
             continue
         try:
-            if embedding_order_level(torus, OrderKind.J, moved) == 0:
+            if embedding_order_level(OrderKind.J, moved) == 0:
                 return False
         except PrecisionExhausted:
             continue
@@ -297,14 +300,17 @@ def iwahori_side_factor(emb: MatrixEmbedding) -> int:
     return 2
 
 
-def split_side_factor(torus: TorusData, kind: OrderKind, span: int = 4) -> int:
-    """Component factor for the diagonal torus: 1 for K_M, scanned for K_J."""
+def split_side_factor(torus: TorusData, kind: OrderKind) -> int:
+    """Component factor for the diagonal torus: 1 for K_M, scanned for K_J.
+
+    The scan covers diag(p^i, p^j) with i, j in 0..3.
+    """
     if kind is OrderKind.M:
         return 1
     ctx = torus.ctx
     p = ctx.p
-    for i in range(span):
-        for j in range(span):
+    for i in range(4):
+        for j in range(4):
             x = MatElt.from_rows(ctx, ((p ** i, 0), (0, p ** j)))
             try:
                 if in_normalizer(OrderKind.J, x) and \
@@ -334,7 +340,7 @@ def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
         if spec.kind is OrderKind.D:
             return Fraction(0)
         r_max = x.val_gap() + 1
-        if r_max + n + ctx.guard >= ctx.M:
+        if r_max + n + GUARD >= ctx.M:
             raise PrecisionExhausted("raise M: split truncation bound too close")
         side = split_side_factor(torus, spec.kind)
         unit_index = enum_order_unit_index(spec.kind, p, n)
@@ -348,13 +354,13 @@ def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
                 value += side * ratio * unit_index
     elif spec.kind is OrderKind.D:
         demb = division_embedding(torus, DivisionModel(ctx))
-        side = 1 if demb.xi.vd_exact() % 2 else 2
+        side = 1 if exact_radical_level(OrderKind.D, demb.xi) % 2 else 2
         ind = congruence_subgroup_membership(OrderKind.D, demb.of(x), n)
         value = Fraction(side * enum_order_unit_index(OrderKind.D, p, n)) if ind \
             else Fraction(0)
     else:
         r_max = x.conductor() + 1
-        if r_max + n + ctx.guard >= ctx.M:
+        if r_max + n + GUARD >= ctx.M:
             raise PrecisionExhausted("raise M: field truncation bound too close")
         r_min = 0
         if spec.kind is OrderKind.J and torus.kind == UNRAMIFIED:
@@ -437,20 +443,19 @@ def enum_norm_image(kind: OrderKind, p: int, n: int) -> tuple[int, int]:
 # radical intersection test
 
 
-def radical_intersection_test(kind: OrderKind, torus: TorusData, r: int, n: int,
-                              span: int | None = None) -> dict:
+def radical_intersection_test(kind: OrderKind, torus: TorusData, r: int, n: int) -> dict:
     """Enumerate radical^n cap (embedded E) and compare with the predicted order.
 
     Predicted: p^n L_r for M2(o); p^k L_r for Iwahori n = 2k; p^k L_(r-1) for
     Iwahori n = 2k-1, r >= 1; P_E^n for Iwahori n = 2k-1 at r = 0 (ramified).
-    All right-hand sides are coordinate lattices v(alpha) >= a0, v(beta) >= b0.
+    All right-hand sides are coordinate lattices v(alpha) >= a0, v(beta) >= b0,
+    checked at coordinates of valuation up to max(n + r + 2, 4).
     """
     ctx = torus.ctx
     p = ctx.p
     emb = checked_embedding(torus, kind, r)
-    if span is None:
-        span = max(n + r + 2, 4)
-    if span + 1 > ctx.M - ctx.guard:
+    span = max(n + r + 2, 4)
+    if span + 1 > ctx.M - GUARD:
         raise PrecisionExhausted("raise M for the intersection span")
     if kind is OrderKind.M:
         a0, b0 = n, n + r

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .padic import (
+    GUARD,
     PAdicContext,
     PrecisionExhausted,
     RegularElement,
@@ -208,11 +209,9 @@ def norm_image_level(kind: OrderKind, n: int) -> int:
     return (n + 1) // 2
 
 
-def exact_radical_level(kind: OrderKind, x, bound: int | None = None) -> int:
+def exact_radical_level(kind: OrderKind, x) -> int:
     """Largest n with x in radical^n (x nonzero; capped by precision)."""
-    ctx = x.ctx
-    if bound is None:
-        bound = 2 * (ctx.M - ctx.guard - x.den)
+    bound = 2 * (x.ctx.M - GUARD - x.den)
     if not order_membership(kind, x):
         raise ValueError("element is not integral")
     n = 0
@@ -342,17 +341,6 @@ class DivElt:
         return (ctx.val_at_least(self.u[0], cu) and ctx.val_at_least(self.u[1], cu)
                 and ctx.val_at_least(self.w[0], cw) and ctx.val_at_least(self.w[1], cw))
 
-    def vd_exact(self, bound: int | None = None) -> int:
-        ctx = self.ctx
-        if bound is None:
-            bound = 2 * (ctx.M - ctx.guard) - 2 * self.den
-        n = 0
-        while n < bound and self.vd_at_least(n + 1):
-            n += 1
-        if n >= bound:
-            raise PrecisionExhausted("v_D hit the precision cap")
-        return n
-
 
 # ---------------------------------------------------------------------------
 # embeddings of a torus at a prescribed optimal level
@@ -413,13 +401,12 @@ def split_conjugate(torus: TorusData, x: RegularElement, r: int) -> MatElt:
     return MatElt.from_rows(ctx, ((a * pr, a - b), (0, b * pr)), den=r)
 
 
-def embedding_order_level(torus: TorusData, kind: OrderKind,
-                          theta_image: MatElt, bound: int = 12) -> int:
-    """min j >= 0 with p^j * theta_image in the order: the optimal level."""
-    for j in range(bound):
+def embedding_order_level(kind: OrderKind, theta_image: MatElt) -> int:
+    """min j >= 0 with p^j * theta_image in the order: the optimal level (< 12)."""
+    for j in range(12):
         if order_membership(kind, theta_image.scale_p(j)):
             return j
-    raise PrecisionExhausted("intersection level beyond the search bound")
+    raise PrecisionExhausted("intersection level beyond the search bound 12")
 
 
 @dataclass(frozen=True)
@@ -497,7 +484,7 @@ def division_embedding(torus: TorusData, model: DivisionModel) -> DivisionEmbedd
         xi = model.elt(u, w)
     else:
         raise ValueError("split tori do not embed in the division algebra")
-    slack = ctx.p ** (ctx.M - ctx.guard)
+    slack = ctx.p ** (ctx.M - GUARD)
     if xi.trace_int() % slack != T % slack or xi.norm_int() % slack != N % slack:
         raise AssertionError("division embedding failed the char-poly check")
     return DivisionEmbedding(torus, model, xi)

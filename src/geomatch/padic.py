@@ -1,9 +1,9 @@
 """Exact arithmetic in Z/p^M, quadratic etale algebras over Q_p, and quadratic orders.
 
-Elements are plain integers stored modulo p^M.  A context carries the prime,
-the working precision M and a guard band: any valuation that would depend on
-digits above M - guard raises PrecisionExhausted, and the caller retries at
-doubled precision.  Nothing here is symbolic; everything reduces to residue
+Elements are plain integers stored modulo p^M.  A context carries the prime
+and the working precision M; the top GUARD digits are a guard band: any
+valuation that would depend on digits above M - GUARD raises
+PrecisionExhausted, and the caller retries at doubled precision.  Nothing here is symbolic; everything reduces to residue
 arithmetic plus Hensel lifting.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_GUARD = 2
+GUARD = 2
 
 SPLIT = "split"
 UNRAMIFIED = "unramified-field"
@@ -20,7 +20,7 @@ RAMIFIED = "ramified-field"
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Raised when an answer depends on p-adic digits above M - guard."""
+    """Raised when an answer depends on p-adic digits above M - GUARD."""
 
 
 class EnumerationTooLarge(RuntimeError):
@@ -49,7 +49,7 @@ def integer_valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PAdicContext:
-    """Residue ring Z/p^M with a precision guard.
+    """Residue ring Z/p^M; valuations are exact only below M - GUARD.
 
     q is the residue field size, which equals p since only Q_p base fields
     are supported.
@@ -57,15 +57,12 @@ class PAdicContext:
 
     p: int
     M: int
-    guard: int = DEFAULT_GUARD
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.M < 1:
             raise ValueError("precision M must be >= 1")
-        if self.guard < 1:
-            raise ValueError("guard must be >= 1")
 
     @property
     def q(self) -> int:
@@ -79,21 +76,21 @@ class PAdicContext:
         return x % self.modulus
 
     def val(self, x: int) -> int:
-        """Valuation of x, exact only below M - guard."""
+        """Valuation of x, exact only below M - GUARD."""
         x = self.reduce(x)
         if x == 0:
             raise PrecisionExhausted(f"v(x) >= {self.M} at precision {self.M}")
         v = integer_valuation(x, self.p)
-        if v > self.M - self.guard:
-            raise PrecisionExhausted(f"v(x) = {v} > {self.M} - {self.guard}")
+        if v > self.M - GUARD:
+            raise PrecisionExhausted(f"v(x) = {v} > {self.M} - {GUARD}")
         return v
 
     def val_at_least(self, x: int, n: int) -> bool:
-        """Decide v(x) >= n; exact for thresholds n <= M - guard even when x = 0."""
+        """Decide v(x) >= n; exact for thresholds n <= M - GUARD even when x = 0."""
         if n <= 0:
             return True
-        if n > self.M - self.guard:
-            raise PrecisionExhausted(f"threshold {n} above {self.M} - {self.guard}")
+        if n > self.M - GUARD:
+            raise PrecisionExhausted(f"threshold {n} above {self.M} - {GUARD}")
         return self.reduce(x) % self.p ** n == 0
 
     def is_unit(self, x: int) -> bool:
@@ -397,7 +394,7 @@ def torus_generator(torus: TorusData, t: int) -> RegularElement:
             alpha = ctx.half((t - 2 ** s * w) % mod)
             beta = 2 ** (s - 1) * w % mod
         x = torus.element(alpha, beta)
-    slack = p ** (ctx.M - ctx.guard)
+    slack = p ** (ctx.M - GUARD)
     if x.trace() % slack != t % slack or x.norm() % slack != 1 % slack:
         raise AssertionError("generator coordinates failed the char-poly check")
     return x

@@ -1,11 +1,13 @@
 import json
 import os
+import time
 
 
 
 from geomatch.cli import (
     EXIT_OK,
     EXIT_PRECISION,
+    EXIT_TOO_LARGE,
     EXIT_USAGE,
     main,
 )
@@ -42,6 +44,13 @@ def test_usage_errors(capsys):
         assert main(["spectrum", "--x-max", x]) == EXIT_USAGE
     assert main(["relation", "--x-max", "nan"]) == EXIT_USAGE
     assert main(["report", "--x-grid", "nan"]) == EXIT_USAGE
+    # traces above MAX_TRACE fail fast instead of walking ~1e6 traces
+    for argv in (["spectrum", "--x-max", "1e12"], ["relation", "--x-max", "1e12"],
+                 ["report", "--x-grid", "100,1e12"],
+                 ["classes", "--t-min", "3", "--t-max", "100000000"]):
+        t0 = time.perf_counter()
+        assert main(argv) == EXIT_TOO_LARGE, argv
+        assert time.perf_counter() - t0 < 1.0, argv
 
 
 def test_precision_exit(capsys):
@@ -146,9 +155,9 @@ def test_determinism_across_threads(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GEOMATCH_THREADS", "2")
     assert main(["report", "--level", "1", "--x-grid", "50,100,200",
                  "--format", "csv", "--out", str(b)]) == EXIT_OK
-    ta = [l for l in a.read_text().splitlines() if "threads" not in l]
-    tb = [l for l in b.read_text().splitlines() if "threads" not in l]
-    assert ta == tb
+    assert a.read_bytes() == b.read_bytes()
+    assert not any(line.startswith("# config.threads")
+                   for line in a.read_text().splitlines())
 
 
 def test_config_seed_matches_seed_flag(tmp_path, capsys):
@@ -177,10 +186,7 @@ def test_explicit_flag_beats_config_at_default_value(tmp_path, capsys):
 def test_grid_commands_start_no_pool(tmp_path, capsys, monkeypatch):
     import geomatch.cli as cli
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("spectrum and report must not start a pool")
-
-    monkeypatch.setattr(cli, "Pool", no_pool)
+    assert not hasattr(cli, "Pool")
     for argv in (["spectrum", "--level", "1", "--x-max", "3000", "--x-count", "5"],
                  ["report", "--level", "3", "--x-grid", "800,40,2000,40"]):
         texts = []
@@ -188,5 +194,6 @@ def test_grid_commands_start_no_pool(tmp_path, capsys, monkeypatch):
             monkeypatch.setenv("GEOMATCH_THREADS", threads)
             path = tmp_path / f"out{threads}.json"
             assert main(argv + ["--out", str(path)]) == EXIT_OK
-            texts.append([l for l in path.read_text().splitlines() if "threads" not in l])
+            texts.append(path.read_bytes())
         assert texts[0] == texts[1], argv
+        assert "threads" not in json.loads(texts[0])["config"]

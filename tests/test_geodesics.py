@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomatch.geodesics import (
+    MAX_TRACE,
     class_count_bruteforce,
     dpsi_enumerated,
     gamma_splitting,
@@ -14,6 +15,7 @@ from geomatch.geodesics import (
     primitive_classes,
     psi_enumerated,
     sl2_classes,
+    signed_traces,
     sl2_group_order,
     spectrum_rows,
     trace_bound,
@@ -22,7 +24,7 @@ from geomatch.geodesics import (
     _mat_mul,
     _mat_pow,
 )
-from geomatch.padic import NonHyperbolicTrace
+from geomatch.padic import EnumerationTooLarge, NonHyperbolicTrace
 
 
 def test_pell_examples():
@@ -171,6 +173,15 @@ def test_trace_bound_exact():
     assert trace_bound(10) == 3   # alpha(3)^2 = 6.85 <= 10 < alpha(4)^2 = 13.9
     assert trace_bound(14) == 4
     assert trace_bound(10000) == 100
+    assert trace_bound(10 ** 7) == MAX_TRACE
+
+
+def test_signed_traces_order_and_cap():
+    assert list(signed_traces(3, 5)) == [3, -3, 4, -4, 5, -5]
+    assert list(signed_traces(3, 2)) == []
+    assert len(list(signed_traces(3, MAX_TRACE))) == 2 * (MAX_TRACE - 2)
+    with pytest.raises(EnumerationTooLarge):
+        next(signed_traces(3, MAX_TRACE + 1))
 
 
 def test_psi_row_consistency():

@@ -176,7 +176,7 @@ def test_embedding_levels():
                             MatrixEmbedding(tor, kind, 0)
                         continue
                     emb = MatrixEmbedding(tor, kind, r)
-                    got = embedding_order_level(tor, kind, emb.of_coords(0, 1))
+                    got = embedding_order_level(kind, emb.of_coords(0, 1))
                     assert got == r
 
 
@@ -184,10 +184,11 @@ def test_division_embedding_parity():
     for p in (2, 3):
         for tor in (unramified_torus(p, 8), ramified_torus(p, 8)):
             de = division_embedding(tor, DivisionModel(PAdicContext(p, 8)))
-            assert de.xi.vd_exact() % 2 == (1 if tor.kind == RAMIFIED else 0)
+            assert exact_radical_level(OrderKind.D, de.xi) % 2 == \
+                (1 if tor.kind == RAMIFIED else 0)
     t24 = ramified_torus_2nonsplit(8)
     de = division_embedding(t24, DivisionModel(PAdicContext(2, 8)))
-    assert de.xi.vd_exact() == 1  # theta0 = 1 + sqrt(u) is a uniformizer
+    assert exact_radical_level(OrderKind.D, de.xi) == 1  # theta0 = 1 + sqrt(u) is a uniformizer
 
 
 def test_normalizer_membership():

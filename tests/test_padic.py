@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomatch.padic import (
+    GUARD,
     PAdicContext,
     PrecisionExhausted,
     NonHyperbolicTrace,
@@ -64,7 +65,7 @@ def test_classification_stable_under_precision(t, p):
 def test_generator_satisfies_char_poly(t, p):
     torus = classify_torus(t, p)
     x = torus_generator(torus, t)
-    mod = p ** (torus.ctx.M - torus.ctx.guard)
+    mod = p ** (torus.ctx.M - GUARD)
     assert x.trace() % mod == t % mod
     assert x.norm() % mod == 1 % mod
     if torus.kind == SPLIT:
