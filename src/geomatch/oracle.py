@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -521,8 +522,8 @@ class CoverageReport:
                 "ok": self.ok}
 
 
-def _sample_matrix(rng: random.Random, p: int, M: int, work: PAdicContext,
-                   unit_det: bool) -> MatElt:
+def _sample_entries(rng: random.Random, p: int, M: int,
+                    unit_det: bool) -> tuple[int, int, int, int]:
     """Uniform sample with unit determinant, or with 1 <= v(det) <= M-1."""
     mod = p ** M
     while True:
@@ -530,9 +531,60 @@ def _sample_matrix(rng: random.Random, p: int, M: int, work: PAdicContext,
         det = (a * d - b * c) % p ** max(M, 4)
         if unit_det:
             if det % p:
-                return MatElt.from_rows(work, ((a, b), (c, d)))
+                return a, b, c, d
         elif det and det % p == 0 and integer_valuation(det, p) < M:
-            return MatElt.from_rows(work, ((a, b), (c, d)))
+            return a, b, c, d
+
+
+@lru_cache(maxsize=1)
+def _coverage_samples(p: int, M: int, samples: int, seed: int) -> Sequence[int]:
+    """The seeded sample stream of one coverage run, read by every decomposition.
+
+    Sample idx has unit determinant when idx is even.  Each matrix is packed
+    as the base-p^M integer with digits (a, b, c, d), 8 bytes a sample in an
+    array('Q') while p^(4M) fits in 64 bits and a list of ints beyond.
+    """
+    from array import array  # here, so that only coverage loads it (0.1 MiB RSS)
+    rng = random.Random(seed)
+    mod = p ** M
+    out = array("Q") if mod ** 4 <= 1 << 64 else []
+    for idx in range(samples):
+        a, b, c, d = _sample_entries(rng, p, M, unit_det=(idx % 2 == 0))
+        out.append(((a * mod + b) * mod + c) * mod + d)
+    return out
+
+
+def _draws_repeat(p: int, M: int, samples: int) -> bool:
+    """Whether the stream must repeat matrices: p^(4M) <= samples.
+
+    Only then does a per-run memo of outcomes pay for itself.  Where the space
+    is larger, almost every draw is distinct (19 615 of 20 000 at p = 3,
+    M = 3), so a memo would only hold every outcome in memory for no saving.
+    """
+    return p ** (4 * M) <= samples
+
+
+def _classified_stream(p: int, M: int, samples: int, seed: int,
+                       classify: Callable[[tuple[int, int, int, int]], object]
+                       ) -> Iterator[tuple[int, tuple[int, int, int, int], object]]:
+    """Yield (idx, entries, classify(entries)) over the seeded sample stream.
+
+    classify runs once per distinct matrix when draws must repeat, else once
+    per sample; either way every sample is yielded with its own index.
+    """
+    mod = p ** M
+    memo = {} if _draws_repeat(p, M, samples) else None
+    for idx, key in enumerate(_coverage_samples(p, M, samples, seed)):
+        rest, d = divmod(key, mod)
+        rest, c = divmod(rest, mod)
+        entries = (*divmod(rest, mod), c, d)
+        if memo is None:
+            outcome = classify(entries)
+        elif key in memo:
+            outcome = memo[key]
+        else:
+            outcome = memo[key] = classify(entries)
+        yield idx, entries, outcome
 
 
 def _guarded_val(ctx: PAdicContext, x: int, big: int) -> int:
@@ -650,19 +702,20 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
     name = "split-M" if kind is OrderKind.M else "split-J"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
-    rng = random.Random(seed)
     r_bound = 2 * M + 2
     for r1 in range(r_bound):
         for r2 in range(r1 + 1, r_bound):
             rep.disjointness_pairs += 1
             if not _coset_disjoint_split(work, kind, r1, r2):
                 rep.violations.append({"type": "cosets-intersect", "r1": r1, "r2": r2})
-    for idx in range(samples):
-        g = _sample_matrix(rng, p, M, work, unit_det=(idx % 2 == 0))
-        r, side, ok = _split_classify_witness(g, kind)
+
+    def classify(entries):
+        return _split_classify_witness(MatElt(work, *entries), kind)
+
+    for idx, entries, (r, side, ok) in _classified_stream(p, M, samples, seed, classify):
         if not ok:
             rep.violations.append({"type": "no-witness", "sample": idx,
-                                   "entries": g.entries, "r": r})
+                                   "entries": entries, "r": r})
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
         rep.odd_component_hits += side
@@ -735,6 +788,9 @@ def _nonsplit_deep_witness(work: PAdicContext, torus: TorusData, kind: OrderKind
     return False
 
 
+_NO_INVERSE = "no-inverse"  # nonsplit outcome of a sample with no inverse
+
+
 def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
                             samples: int, seed: int = 0,
                             deep_witnesses: int = 300) -> CoverageReport:
@@ -751,32 +807,34 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
     torus = _canonical_torus(torus_kind, p, work.M)
-    rng = random.Random(seed)
     theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
     bound = 2 * M + 4
-    for idx in range(samples):
-        g = _sample_matrix(rng, p, M, work, unit_det=(idx % 2 == 0))
+
+    def level(entries):
+        """The optimal-embedding level, None when there is none, or _NO_INVERSE."""
         try:
-            Y = theta.conj_by(g)
+            Y = theta.conj_by(MatElt(work, *entries))
         except ValueError:
-            Y = None
-        if Y is None:
+            return _NO_INVERSE
+        return next((j for j in range(bound) if order_membership(kind, Y.scale_p(j))), None)
+
+    for idx, entries, r in _classified_stream(p, M, samples, seed, level):
+        if r == _NO_INVERSE:
             rep.violations.append({"type": "no-inverse", "sample": idx})
             continue
-        r = next((j for j in range(bound) if order_membership(kind, Y.scale_p(j))), None)
         if r is None:
             rep.violations.append({"type": "no-level", "sample": idx,
-                                   "entries": g.entries})
+                                   "entries": entries})
             continue
         if kind is OrderKind.J and torus.kind == UNRAMIFIED and r == 0:
             rep.violations.append({"type": "level-0-iwahori", "sample": idx,
-                                   "entries": g.entries})
+                                   "entries": entries})
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
         if idx < deep_witnesses:
-            if _nonsplit_deep_witness(work, torus, kind, g, r):
+            if _nonsplit_deep_witness(work, torus, kind, MatElt(work, *entries), r):
                 rep.deep_witness_checked += 1
             else:
                 rep.violations.append({"type": "no-witness", "sample": idx,
-                                       "entries": g.entries, "r": r})
+                                       "entries": entries, "r": r})
     return rep

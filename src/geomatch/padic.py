@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 GUARD = 2
 
@@ -68,7 +69,7 @@ class PAdicContext:
     def q(self) -> int:
         return self.p
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return self.p ** self.M
 
@@ -295,23 +296,33 @@ def split_torus(p: int, M: int) -> TorusData:
 
 
 def unramified_torus(p: int, M: int) -> TorusData:
-    c = unramified_generator_constant(p)
-    return TorusData(PAdicContext(p, M), UNRAMIFIED, T=1, N=-c % p ** M)
+    return _unramified_torus(PAdicContext(p, M))
+
+
+def _unramified_torus(ctx: PAdicContext) -> TorusData:
+    c = unramified_generator_constant(ctx.p)
+    return TorusData(ctx, UNRAMIFIED, T=1, N=-c % ctx.modulus)
 
 
 def ramified_torus(p: int, M: int, unit: int = 1) -> TorusData:
     """The ramified quadratic Q_p(sqrt(p * unit)), theta0 = sqrt(p * unit)."""
-    ctx = PAdicContext(p, M)
+    return _ramified_torus(PAdicContext(p, M), unit)
+
+
+def _ramified_torus(ctx: PAdicContext, unit: int) -> TorusData:
     if not ctx.is_unit(unit):
         raise ValueError("unit part must be a unit")
-    return TorusData(ctx, RAMIFIED, T=0, N=-p * unit % ctx.modulus)
+    return TorusData(ctx, RAMIFIED, T=0, N=-ctx.p * unit % ctx.modulus)
 
 
 def ramified_torus_2nonsplit(M: int, unit: int = 3) -> TorusData:
     """The ramified Q_2(sqrt(u)) for u = 3 mod 4, theta0 = 1 + sqrt(u)."""
+    return _ramified_torus_2nonsplit(PAdicContext(2, M), unit)
+
+
+def _ramified_torus_2nonsplit(ctx: PAdicContext, unit: int) -> TorusData:
     if unit % 4 != 3:
         raise ValueError("needs unit = 3 mod 4")
-    ctx = PAdicContext(2, M)
     return TorusData(ctx, RAMIFIED, T=2, N=(1 - unit) % ctx.modulus)
 
 
@@ -341,12 +352,10 @@ def classify_torus(t: int, p: int, M: int | None = None) -> TorusData:
     u = disc // p ** v
     if v % 2 == 0 and ((p != 2 and pow(u % p, (p - 1) // 2, p) == p - 1)
                        or (p == 2 and u % 8 == 5)):
-        return unramified_torus(p, M)
-    if p != 2:
-        return ramified_torus(p, M, unit=u % p ** M)
-    if v % 2:
-        return ramified_torus(2, M, unit=u % 2 ** M)
-    return ramified_torus_2nonsplit(M, unit=u % 2 ** M)
+        return _unramified_torus(ctx)
+    if p != 2 or v % 2:
+        return _ramified_torus(ctx, u % ctx.modulus)
+    return _ramified_torus_2nonsplit(ctx, u % ctx.modulus)
 
 
 def torus_generator(torus: TorusData, t: int) -> RegularElement:

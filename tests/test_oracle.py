@@ -1,7 +1,12 @@
+import json
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from geomatch import oracle
+from geomatch.cli import main
 from geomatch.integrals import TestFunctionSpec, orbital
 from geomatch.oracle import (
     coset_coverage_nonsplit,
@@ -17,12 +22,14 @@ from geomatch.oracle import (
     radical_intersection_test,
     verify_embedding_optimal,
 )
-from geomatch.orders import MatrixEmbedding, OrderKind, norm_image_level, order_unit_index
+from geomatch.orders import MatElt, MatrixEmbedding, OrderKind, norm_image_level, order_unit_index
 from geomatch.padic import (
     EnumerationTooLarge,
+    PAdicContext,
     RAMIFIED,
     SPLIT,
     UNRAMIFIED,
+    integer_valuation,
     quad_order_unit_index,
     ramified_torus,
     ramified_torus_2nonsplit,
@@ -200,3 +207,155 @@ def test_coverage_rejects_precision_below_two():
         with pytest.raises(ValueError):
             coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, M, samples)
 
+
+def _fresh_sample(rng, p, M, work, unit_det):
+    """One draw of the coverage stream, as the per-sample loop drew it."""
+    mod = p ** M
+    while True:
+        a, b, c, d = (rng.randrange(mod) for _ in range(4))
+        det = (a * d - b * c) % p ** max(M, 4)
+        if unit_det:
+            if det % p:
+                return MatElt.from_rows(work, ((a, b), (c, d)))
+        elif det and det % p == 0 and integer_valuation(det, p) < M:
+            return MatElt.from_rows(work, ((a, b), (c, d)))
+
+
+def _fresh_split(kind, p, M, samples, seed):
+    """coset_coverage_split as a loop that draws and classifies every sample afresh."""
+    rep = oracle.CoverageReport("split-M" if kind is OrderKind.M else "split-J",
+                                p, M, samples, seed)
+    work = PAdicContext(p, 6 * (M + 3))
+    rng = random.Random(seed)
+    r_bound = 2 * M + 2
+    for r1 in range(r_bound):
+        for r2 in range(r1 + 1, r_bound):
+            rep.disjointness_pairs += 1
+            if not oracle._coset_disjoint_split(work, kind, r1, r2):
+                rep.violations.append({"type": "cosets-intersect", "r1": r1, "r2": r2})
+    for idx in range(samples):
+        g = _fresh_sample(rng, p, M, work, unit_det=(idx % 2 == 0))
+        r, side, ok = oracle._split_classify_witness(g, kind)
+        if not ok:
+            rep.violations.append({"type": "no-witness", "sample": idx,
+                                   "entries": g.entries, "r": r})
+            continue
+        rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
+        rep.odd_component_hits += side
+        rep.deep_witness_checked += 1
+    return rep
+
+
+def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed, deep_witnesses):
+    """coset_coverage_nonsplit as a loop that draws and classifies every sample afresh."""
+    rep = oracle.CoverageReport(f"nonsplit-{kind.value}", p, M, samples, seed)
+    work = PAdicContext(p, 6 * (M + 3))
+    torus = oracle._canonical_torus(torus_kind, p, work.M)
+    rng = random.Random(seed)
+    theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
+    bound = 2 * M + 4
+    for idx in range(samples):
+        g = _fresh_sample(rng, p, M, work, unit_det=(idx % 2 == 0))
+        try:
+            Y = theta.conj_by(g)
+        except ValueError:
+            rep.violations.append({"type": "no-inverse", "sample": idx})
+            continue
+        r = next((j for j in range(bound)
+                  if oracle.order_membership(kind, Y.scale_p(j))), None)
+        if r is None:
+            rep.violations.append({"type": "no-level", "sample": idx,
+                                   "entries": g.entries})
+            continue
+        if kind is OrderKind.J and torus.kind == UNRAMIFIED and r == 0:
+            rep.violations.append({"type": "level-0-iwahori", "sample": idx,
+                                   "entries": g.entries})
+            continue
+        rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
+        if idx < deep_witnesses:
+            if oracle._nonsplit_deep_witness(work, torus, kind, g, r):
+                rep.deep_witness_checked += 1
+            else:
+                rep.violations.append({"type": "no-witness", "sample": idx,
+                                       "entries": g.entries, "r": r})
+    return rep
+
+
+def _four_decompositions(coverage_split, coverage_nonsplit, torus_kind, p, M,
+                         samples, seed):
+    deep = samples // 3
+    return [coverage_split(kind, p, M, samples, seed).to_dict()
+            for kind in (OrderKind.M, OrderKind.J)] + \
+        [coverage_nonsplit(kind, torus_kind, p, M, samples, seed, deep).to_dict()
+         for kind in (OrderKind.M, OrderKind.J)]
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("p, M, samples", [(2, 2, 300), (2, 3, 300), (3, 2, 300),
+                                           (3, 3, 200), (3, 11, 60)])
+def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo):
+    """The shared stream and the per-matrix memo change no report.
+
+    Checked once with the real classifiers, and once with injected faults:
+    split samples whose e11 is divisible by p get no witness, nonsplit ones
+    have no inverse, and nonsplit samples whose e12 is divisible by p fail
+    the deep witness.  Violations on repeated matrices must each be reported
+    with their own sample index.
+    """
+    monkeypatch.setattr(oracle, "_draws_repeat", lambda p, M, samples: memo)
+    seed = 11
+    for faulty in (False, True):
+        if faulty:
+            classify = oracle._split_classify_witness
+            conj_by = MatElt.conj_by
+            deep_witness = oracle._nonsplit_deep_witness
+
+            def reject_split(g, kind):
+                r, side, ok = classify(g, kind)
+                return r, side, ok and g.e11 % p != 0
+
+            def no_inverse(X, g):
+                if g.e11 % p == 0:
+                    raise ValueError("no inverse")
+                return conj_by(X, g)
+
+            def reject_deep(work, torus, kind, g, r):
+                return g.e12 % p != 0 and deep_witness(work, torus, kind, g, r)
+
+            monkeypatch.setattr(oracle, "_split_classify_witness", reject_split)
+            monkeypatch.setattr(MatElt, "conj_by", no_inverse)
+            monkeypatch.setattr(oracle, "_nonsplit_deep_witness", reject_deep)
+        for torus_kind in (UNRAMIFIED, RAMIFIED):
+            got = _four_decompositions(coset_coverage_split, coset_coverage_nonsplit,
+                                       torus_kind, p, M, samples, seed)
+            want = _four_decompositions(_fresh_split, _fresh_nonsplit,
+                                        torus_kind, p, M, samples, seed)
+            assert got == want
+            if faulty:
+                assert all(not rep["ok"] for rep in got)
+                if p ** (4 * M) <= samples:  # some violating matrix is drawn twice
+                    entries = [tuple(v["entries"]) for v in got[0]["violations"]]
+                    assert len(set(entries)) < len(entries)
+            else:
+                assert all(rep["ok"] for rep in got)
+
+
+def test_coverage_stream_packing_at_64_bits():
+    # p^(4M) = 2^64 still packs into array('Q'); one digit more needs Python ints
+    for p, M, packed in ((2, 16, array), (2, 17, list)):
+        oracle._coverage_samples.cache_clear()
+        stream = oracle._coverage_samples(p, M, 40, 5)
+        assert type(stream) is packed
+        rng = random.Random(5)
+        mod = p ** M
+        for idx, key in enumerate(stream):
+            a, b, c, d = oracle._sample_entries(rng, p, M, unit_det=(idx % 2 == 0))
+            assert key == ((a * mod + b) * mod + c) * mod + d
+
+
+def test_coverage_draws_stream_once(capsys):
+    oracle._coverage_samples.cache_clear()
+    assert main(["coverage", "--decomposition", "all", "--p", "2", "--M", "2",
+                 "--samples", "200", "--seed", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 4
+    assert oracle._coverage_samples.cache_info().misses == 1

@@ -27,6 +27,15 @@ def test_valuation_examples():
     assert PAdicContext(2, 8).val(12) == 2
 
 
+def test_cached_modulus_keeps_equality_and_hash():
+    for p, M in ((2, 1), (3, 12), (5, 40)):
+        read = PAdicContext(p, M)
+        assert read.modulus == p ** M
+        fresh = PAdicContext(p, M)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert {read: 1}[fresh] == 1
+
+
 def test_valuation_guard():
     ctx = PAdicContext(3, 4)
     with pytest.raises(PrecisionExhausted):
@@ -41,6 +50,24 @@ def test_classify_examples():
     assert t.kind == RAMIFIED and t.e == 2
     t = classify_torus(3, 2)
     assert t.kind == UNRAMIFIED and t.e == 1
+
+
+def test_classify_torus_builds_one_context(monkeypatch):
+    built = []
+    post_init = PAdicContext.__post_init__
+
+    def count(ctx):
+        built.append(ctx)
+        post_init(ctx)
+
+    monkeypatch.setattr(PAdicContext, "__post_init__", count)
+    # split, unramified, ramified at odd p, and both 2-adic ramified shapes
+    for t, p, kind, T in ((3, 11, SPLIT, 0), (3, 2, UNRAMIFIED, 1), (3, 5, RAMIFIED, 0),
+                          (6, 2, RAMIFIED, 0), (4, 2, RAMIFIED, 2)):
+        built.clear()
+        torus = classify_torus(t, p)
+        assert (torus.kind, torus.T) == (kind, T)
+        assert built == [torus.ctx]
 
 
 def test_classify_rejects_elliptic():
