@@ -34,6 +34,7 @@ from .padic import (
     PrecisionExhausted,
     classify_torus,
     default_precision,
+    factorize,
     is_prime,
     torus_generator,
 )
@@ -93,45 +94,28 @@ def subset_coefficients(data: RamifiedLevelData) -> dict[frozenset, Fraction]:
     return coeffs
 
 
-MATRIX = "matrix"
-QUATERNION = "quaternion"
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """A congruence group given by its local kind and level at each prime.
 
-    Primes absent from entries carry (M, 0).  The matrix side describes a
-    unit group of an Eichler order in M2; the quaternion side replaces the
-    order by the maximal order of the division algebra at ramified primes.
+    Primes absent from entries carry (M, 0).  Eichler and principal groups
+    are unit groups of orders in M2; a D entry marks the quaternion side,
+    whose order is the maximal order of the division algebra there.
     """
 
-    side: str
-    entries: tuple[tuple[int, str, int], ...]
-    label: str = ""
+    entries: tuple[tuple[int, OrderKind, int], ...]
 
     def local_entry(self, p: int) -> tuple[OrderKind, int]:
         for q, kind, level in self.entries:
             if q == p:
-                return OrderKind(kind), level
+                return kind, level
         return OrderKind.M, 0
 
     @classmethod
     def principal(cls, N: int) -> "GroupDescriptor":
         if N < 1:
             raise ValueError("level must be >= 1")
-        entries = []
-        n = N
-        p = 2
-        while n > 1:
-            if is_prime(p) and n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                entries.append((p, "M", e))
-            p += 1
-        return cls(MATRIX, tuple(entries), label=f"Gamma({N})")
+        return cls(tuple((p, OrderKind.M, e) for p, e in factorize(N)))
 
     @classmethod
     def eichler(cls, data: RamifiedLevelData, subset: frozenset) -> "GroupDescriptor":
@@ -140,15 +124,14 @@ class GroupDescriptor:
             n = data.exponent(p)
             if p not in data.ram:
                 if n:
-                    entries.append((p, "M", n))
+                    entries.append((p, OrderKind.M, n))
             elif p in subset:
                 combo = matching_combination(p, n)
-                entries.append((p, "M", combo.f_level))
+                entries.append((p, OrderKind.M, combo.f_level))
             else:
                 combo = matching_combination(p, n)
-                entries.append((p, "J", combo.g_level))
-        name = ",".join(str(p) for p in sorted(subset)) or "-"
-        return cls(MATRIX, tuple(entries), label=f"Eichler[I={{{name}}}]")
+                entries.append((p, OrderKind.J, combo.g_level))
+        return cls(tuple(entries))
 
     @classmethod
     def quaternion(cls, data: RamifiedLevelData) -> "GroupDescriptor":
@@ -156,20 +139,16 @@ class GroupDescriptor:
         for p in data.level_support():
             n = data.exponent(p)
             if p in data.ram:
-                entries.append((p, "D", n))
+                entries.append((p, OrderKind.D, n))
             elif n:
-                entries.append((p, "M", n))
-        return cls(QUATERNION, tuple(entries),
-                   label="Gamma_D(" + "*".join(f"{p}^{data.exponent(p)}"
-                                               for p in data.ram) + ")")
+                entries.append((p, OrderKind.M, n))
+        return cls(tuple(entries))
 
     def principal_level(self) -> int | None:
         """N when the group is the principal congruence subgroup Gamma(N)."""
-        if self.side != MATRIX:
-            return None
         N = 1
         for p, kind, level in self.entries:
-            if kind != "M":
+            if kind is not OrderKind.M:
                 return None
             N *= p ** level
         return N
@@ -182,11 +161,11 @@ def group_c_factor(desc: GroupDescriptor) -> Fraction:
         if level == 0:
             continue
         ctx = PAdicContext(p, level + 4)
-        if kind == "D":
+        if kind is OrderKind.D:
             neg = DivisionModel(ctx).elt((-1, 0), (0, 0))
         else:
             neg = MatElt.from_rows(ctx, ((-1, 0), (0, -1)))
-        if not congruence_subgroup_membership(OrderKind(kind), neg, level):
+        if not congruence_subgroup_membership(kind, neg, level):
             return Fraction(1)
     return Fraction(1, 2)
 
@@ -232,16 +211,7 @@ def matched_local_factor(level: int, t: int, p: int) -> Fraction:
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:
     """Primes where the local factor can differ from 1."""
     supp = {p for p, _, _ in desc.entries}
-    dd = abs(t * t - 4)
-    p = 2
-    while p * p <= dd:
-        if dd % p == 0:  # p is prime: every smaller prime is divided out
-            supp.add(p)
-            while dd % p == 0:
-                dd //= p
-        p += 1 if p == 2 else 2
-    if dd > 1:
-        supp.add(dd)
+    supp.update(p for p, _ in factorize(abs(t * t - 4) or 1))  # t = +-2: no primes
     return tuple(sorted(supp))
 
 
@@ -298,11 +268,32 @@ def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
 # the per-trace relation and the counting-function report
 
 
+def _relation_groups(data: RamifiedLevelData):
+    """((subset, coefficient, descriptor, c), ...) per Eichler term in subset order, and c_D."""
+    coeffs = subset_coefficients(data)
+    groups = []
+    for subset in sorted(coeffs, key=lambda s: tuple(sorted(s))):
+        desc = GroupDescriptor.eichler(data, subset)
+        groups.append((tuple(sorted(subset)), coeffs[subset], desc, group_c_factor(desc)))
+    return tuple(groups), group_c_factor(GroupDescriptor.quaternion(data))
+
+
+def _trace_terms(groups, c_q: Fraction, t: int):
+    """([(dpsi, mode)] per Eichler term, dpsi_D) at trace t.
+
+    dpsi_D is defined by c_D dpsi_D = sum_I coeff_I c_I dpsi_I.
+    """
+    vals = [dpsi_value(desc, t) for _, _, desc, _ in groups]
+    rhs = 0.0
+    for (_, coeff, _, c), (val, _) in zip(groups, vals):
+        rhs += float(coeff) * float(c) * val
+    return vals, rhs / float(c_q)
+
+
 @dataclass(frozen=True)
 class DpsiRelationTerm:
     subset: tuple[int, ...]
     coefficient: Fraction
-    c_factor: Fraction
     dpsi: float
     mode: str
 
@@ -310,7 +301,6 @@ class DpsiRelationTerm:
 @dataclass(frozen=True)
 class DpsiRelationReport:
     t: int
-    c_quaternion: Fraction
     dpsi_quaternion: float
     terms: tuple[DpsiRelationTerm, ...]
     exact_identity_ok: bool
@@ -325,20 +315,12 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     are checked as well: the subset expansion of the local products and the
     agreement with the quaternion-side local product.
     """
-    coeffs = subset_coefficients(data)
+    groups, c_q = _relation_groups(data)
+    vals, dpsi_q = _trace_terms(groups, c_q, t)
+    terms = tuple(DpsiRelationTerm(subset, coeff, val, mode)
+                  for (subset, coeff, _, _), (val, mode) in zip(groups, vals))
+    subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc, _ in groups)
     qdesc = GroupDescriptor.quaternion(data)
-    c_q = group_c_factor(qdesc)
-    terms = []
-    rhs = 0.0
-    subset_sum = Fraction(0)
-    for subset in sorted(coeffs, key=lambda s: tuple(sorted(s))):
-        desc = GroupDescriptor.eichler(data, subset)
-        c_i = group_c_factor(desc)
-        val, mode = dpsi_value(desc, t)
-        coeff = coeffs[subset]
-        terms.append(DpsiRelationTerm(tuple(sorted(subset)), coeff, c_i, val, mode))
-        rhs += float(coeff) * float(c_i) * val
-        subset_sum += coeff * local_product(desc, t)
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
         if p in data.ram:
@@ -348,8 +330,7 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
             matched *= local_factor(kind, level, t, p)
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
-    dpsi_q = rhs / float(c_q)
-    return DpsiRelationReport(t, c_q, dpsi_q, tuple(terms), exact_ok, matching_ok)
+    return DpsiRelationReport(t, dpsi_q, terms, exact_ok, matching_ok)
 
 
 @dataclass(frozen=True)
@@ -368,7 +349,7 @@ class PsiRelationReport:
     coefficient_sum: Fraction
     error: float
     bound_7_10: float
-    per_trace: tuple
+    per_trace: tuple[tuple[int, tuple[float, ...], float], ...]  # (t, dpsi_I, dpsi_D)
     note: str
 
 
@@ -382,29 +363,18 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     """
     if x < 10:
         raise ValueError("x must be >= 10")
-    coeffs = subset_coefficients(data)
-    subsets = sorted(coeffs, key=lambda s: tuple(sorted(s)))
-    descs = {s: GroupDescriptor.eichler(data, s) for s in subsets}
-    modes = {}
-    tmax = trace_bound(x)
-    psi_terms = {s: 0.0 for s in subsets}
+    groups, c_q = _relation_groups(data)
+    psi_terms = [0.0] * len(groups)
     per_trace = []
-    qdesc = GroupDescriptor.quaternion(data)
-    c_q = group_c_factor(qdesc)
-    for t in signed_traces(3, tmax):
+    for t in signed_traces(3, trace_bound(x)):
         weight = 2.0 * math.sqrt(abs(t) - 2)
-        row = {"t": t}
-        dq = 0.0
-        for s in subsets:
-            val, modes[s] = dpsi_value(descs[s], t)
-            c = float(group_c_factor(descs[s]))
-            psi_terms[s] += c * weight * val
-            dq += float(coeffs[s]) * c * val
-            row[f"dpsi[{descs[s].label}]"] = val
-        row["dpsi_quaternion"] = dq / float(c_q)
-        per_trace.append(row)
-    terms = tuple(PsiRelationTerm(tuple(sorted(s)), coeffs[s], psi_terms[s], modes[s])
-                  for s in subsets)
+        vals, dq = _trace_terms(groups, c_q, t)
+        for k, ((_, _, _, c), (val, _)) in enumerate(zip(groups, vals)):
+            psi_terms[k] += float(c) * weight * val
+        per_trace.append((t, tuple(val for val, _ in vals), dq))
+    # each term reports the mode of its last trace
+    terms = tuple(PsiRelationTerm(subset, coeff, psi, mode)
+                  for (subset, coeff, _, _), psi, (_, mode) in zip(groups, psi_terms, vals))
     psi_q = 0.0
     for term in terms:
         psi_q += float(term.coefficient) * term.psi
@@ -412,7 +382,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
         x=float(x),
         psi_quaternion=psi_q,
         terms=terms,
-        coefficient_sum=sum(coeffs.values()),
+        coefficient_sum=sum(coeff for _, coeff, _, _ in groups),
         error=psi_q - float(x),
         bound_7_10=float(x) ** 0.7,
         per_trace=tuple(per_trace),

@@ -505,11 +505,7 @@ def _dispatch(args) -> int:
         if args.csv_out:
             header = ["t"] + [f"dpsi_I_{'_'.join(map(str, t.subset)) or 'none'}"
                               for t in rep.terms] + ["dpsi_quaternion"]
-            rows = []
-            for row in rep.per_trace:
-                keys = [k for k in row if k.startswith("dpsi[")]
-                rows.append([row["t"]] + [row[k] for k in keys]
-                            + [row["dpsi_quaternion"]])
+            rows = [[t, *vals, dq] for t, vals, dq in rep.per_trace]
             ccfg = replace(cfg, out=args.csv_out, fmt="csv")
             _write(ccfg, emit_csv(ccfg, header, rows))
         return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import EnumerationTooLarge, NonHyperbolicTrace
+from .padic import EnumerationTooLarge, NonHyperbolicTrace, factorize
 
 MAX_SPLITTING_LEVEL = 6
 MAX_TRACE = 3162  # trace_bound(1e7): every count reaches x = 1e7
@@ -324,15 +324,12 @@ def class_count_bruteforce(t: int) -> int:
 # splitting into principal congruence subgroups
 
 
+@lru_cache(maxsize=None)  # gamma_splitting asks once per class
 def sl2_group_order(N: int) -> int:
     """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2) (Diamond-Shurman, section 1.2)."""
-    order, n, p = N ** 3, N, 2
-    while n > 1:
-        if n % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while n % p == 0:
-                n //= p
-        p += 1
+    order = N ** 3
+    for p, _ in factorize(N):
+        order = order // (p * p) * (p * p - 1)
     return order
 
 

@@ -243,7 +243,9 @@ def verify_embedding_optimal(emb: MatrixEmbedding) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def checked_embedding(torus: TorusData, kind: OrderKind, level: int) -> MatrixEmbedding:
+    """The embedding at the given level, verified optimal once per (torus, kind, level)."""
     emb = MatrixEmbedding(torus, kind, level)
     if not verify_embedding_optimal(emb):
         raise AssertionError(f"embedding at level {level} failed the optimality check")
@@ -667,18 +669,17 @@ def _coset_disjoint_split(work: PAdicContext, kind: OrderKind, r1: int,
     """
     p = work.p
     B = max(r1, r2) + 2
-    for i in range(0, B + 1):
-        for j in range(0, B + 1):
-            if min(i, j) != 0:
-                continue  # the center normalizes tau to min valuation 0
-            den = max(r2 - i, r1 - j, 0)
-            h = MatElt.from_rows(work, ((p ** (i + den), p ** (i + den - r2) - p ** (j + den - r1)),
-                                        (0, p ** (j + den))), den=den)
-            try:
-                if in_normalizer(kind, h):
-                    return False
-            except PrecisionExhausted:
-                continue
+    # the center normalizes tau to min valuation 0: only the axis pairs remain
+    axis = [(0, j) for j in range(B + 1)] + [(i, 0) for i in range(1, B + 1)]
+    for i, j in axis:
+        den = max(r2 - i, r1 - j, 0)
+        h = MatElt.from_rows(work, ((p ** (i + den), p ** (i + den - r2) - p ** (j + den - r1)),
+                                    (0, p ** (j + den))), den=den)
+        try:
+            if in_normalizer(kind, h):
+                return False
+        except PrecisionExhausted:
+            continue
     return True
 
 

@@ -73,13 +73,6 @@ class MatElt:
             self.den + other.den,
         )
 
-    def __add__(self, other: "MatElt") -> "MatElt":
-        if self.den != other.den:
-            raise ValueError("align denominators before adding")
-        m = self.ctx.modulus
-        return MatElt(self.ctx, *((x + y) % m for x, y in zip(self.entries, other.entries)),
-                      self.den)
-
     def minus_identity(self) -> "MatElt":
         """x - 1 at the same denominator."""
         m = self.ctx.modulus

@@ -37,6 +37,25 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """((p, e), ...) with p increasing and n = prod p^e, by trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError("factorize needs n >= 1")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:  # p is prime: every smaller prime is divided out
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def integer_valuation(n: int, p: int) -> int:
     """Exact p-adic valuation of a nonzero integer."""
     if n == 0:

@@ -17,7 +17,7 @@ from geomatch.assembly import (
     psi_relation,
     subset_coefficients,
 )
-from geomatch.geodesics import dpsi_enumerated, psi_enumerated
+from geomatch.geodesics import dpsi_enumerated, psi_enumerated, trace_bound
 from geomatch.orders import OrderKind
 
 
@@ -277,3 +277,16 @@ def test_factor_support_is_primes_of_discriminant_plus_descriptor():
             for desc in descs:
                 want = primes | {p for p, _, _ in desc.entries}
                 assert factor_support(desc, t) == tuple(sorted(want)), (t, desc)
+
+
+@pytest.mark.parametrize("data", [RamifiedLevelData((2, 3)),
+                                  RamifiedLevelData((2, 3), ((2, 1), (3, 1))),
+                                  RamifiedLevelData((2, 5), ((5, 2),))])
+def test_psi_relation_per_trace_matches_dpsi_relation(data):
+    rep = psi_relation(data, 2000)
+    assert len(rep.per_trace) == 2 * (trace_bound(2000) - 2)
+    for t, vals, dq in rep.per_trace:
+        one = dpsi_relation(data, t)
+        assert vals == tuple(term.dpsi for term in one.terms), t
+        assert dq == one.dpsi_quaternion, t
+        assert [term.subset for term in one.terms] == [term.subset for term in rep.terms]

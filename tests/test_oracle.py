@@ -359,3 +359,48 @@ def test_coverage_draws_stream_once(capsys):
                  "--samples", "200", "--seed", "3"]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 4
     assert oracle._coverage_samples.cache_info().misses == 1
+
+
+def _full_scan_disjoint_split(work, kind, r1, r2):
+    """The disjointness certificate as a scan of every (i, j) in [0, B]^2."""
+    from geomatch.orders import in_normalizer
+    from geomatch.padic import PrecisionExhausted
+    p = work.p
+    B = max(r1, r2) + 2
+    for i in range(0, B + 1):
+        for j in range(0, B + 1):
+            if min(i, j) != 0:
+                continue
+            den = max(r2 - i, r1 - j, 0)
+            h = MatElt.from_rows(work, ((p ** (i + den), p ** (i + den - r2) - p ** (j + den - r1)),
+                                        (0, p ** (j + den))), den=den)
+            try:
+                if in_normalizer(kind, h):
+                    return False
+            except PrecisionExhausted:
+                continue
+    return True
+
+
+@pytest.mark.parametrize("kind", [OrderKind.M, OrderKind.J])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_disjoint_split_axis_walk_matches_full_scan(kind, p):
+    work = PAdicContext(p, 6 * (3 + 3))
+    for r1 in range(8):
+        for r2 in range(r1 + 1, 8):
+            assert oracle._coset_disjoint_split(work, kind, r1, r2) == \
+                _full_scan_disjoint_split(work, kind, r1, r2), (r1, r2)
+
+
+def test_checked_embedding_verifies_each_embedding_once(monkeypatch):
+    calls = []
+    real = oracle.verify_embedding_optimal
+    monkeypatch.setattr(oracle, "verify_embedding_optimal",
+                        lambda emb: calls.append(emb) or real(emb))
+    oracle.checked_embedding.cache_clear()
+    torus = unramified_torus(3, 12)
+    first = oracle.checked_embedding(torus, OrderKind.M, 2)
+    assert oracle.checked_embedding(torus, OrderKind.M, 2) is first
+    assert first == MatrixEmbedding(torus, OrderKind.M, 2)
+    assert len(calls) == 1
+    oracle.checked_embedding.cache_clear()

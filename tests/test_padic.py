@@ -10,7 +10,9 @@ from geomatch.padic import (
     SPLIT,
     UNRAMIFIED,
     classify_torus,
+    factorize,
     integer_valuation,
+    is_prime,
     is_square,
     quad_order_unit_index,
     ramified_torus,
@@ -189,3 +191,16 @@ def test_theta0_basis_norm_matches_embedding_determinant():
                 x = tor.element(alpha, beta)
                 m = emb.of(x)
                 assert m.det_int() % p ** 8 == x.norm() % p ** 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10 ** 7))
+def test_factorize_is_the_prime_factorization(n):
+    factors = factorize(n)
+    product = 1
+    for p, e in factors:
+        assert is_prime(p) and e >= 1
+        product *= p ** e
+    assert product == n
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
