@@ -1,12 +1,13 @@
 """Global assembly: ramification data, subset coefficients, and the identity
 expressing the quaternion-side counting function through matrix-side ones.
 
-The per-trace engine: for a hyperbolic trace t, the product of normalized
-local orbital integrals at the canonical root of X^2 - t X + 1, times a
-trace-dependent but group-independent constant, equals c * dpsi of the group.
-The constant is extracted from the full-level enumeration (never computed
-from class-number data) and then predicts every other group, including the
-quaternion side, whose dpsi is defined through the matched combination.
+The per-trace engine: for a hyperbolic trace t, c * dpsi of a group is the
+product of normalized local orbital integrals at the canonical root of
+X^2 - t X + 1, times a trace-dependent but group-independent constant.  So
+every group is predicted as c_1 dpsi_1(t) of Gamma(1), extracted from
+enumeration (never from class-number data), times the ratio of its local
+factors to Gamma(1)'s at its own primes, where all the others agree.  The
+quaternion side's dpsi is defined through the matched combination.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geodesics import MAX_SPLITTING_LEVEL, dpsi_enumerated, signed_traces, trace_bound
-from .integrals import (
-    matched_value,
-    matching_combination,
-    orbital,
-    TestFunctionSpec,
-)
+from .integrals import matching_combination, orbital, TestFunctionSpec
 from .orders import (
     DivisionModel,
     MatElt,
@@ -174,38 +170,32 @@ def group_c_factor(desc: GroupDescriptor) -> Fraction:
 # local factors
 
 
-def _at_canonical_element(value, level: int, t: int, p: int):
-    """value(x) at the canonical trace-t element x of Q_p.
+@lru_cache(maxsize=None)
+def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
+    """Normalized local orbital integral at the canonical trace-t element.
 
-    x is built at precision default_precision(t, p) + level, which is doubled
-    after each PrecisionExhausted, six tries in all.
+    Includes the norm-index prefactor; returns an exact rational.  The
+    element is built at precision default_precision(t, p) + level, which is
+    doubled after each PrecisionExhausted, six tries in all.
     """
+    if abs(t) <= 2:
+        raise ValueError("hyperbolic traces only")
+    spec = TestFunctionSpec(kind, level, include_norm_index=True)
     M = default_precision(t, p) + level
     for _ in range(6):
         try:
-            return value(torus_generator(classify_torus(t, p, M), t))
+            return orbital(spec, torus_generator(classify_torus(t, p, M), t))
         except PrecisionExhausted:
             M *= 2
     raise PrecisionExhausted(f"local factor at p={p}, t={t} needs more than M={M}")
 
 
 @lru_cache(maxsize=None)
-def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
-    """Normalized local orbital integral at the canonical trace-t element.
-
-    Includes the norm-index prefactor; returns an exact rational.
-    """
-    if abs(t) <= 2:
-        raise ValueError("hyperbolic traces only")
-    spec = TestFunctionSpec(kind, level, include_norm_index=True)
-    return _at_canonical_element(lambda x: orbital(spec, x), level, t, p)
-
-
-@lru_cache(maxsize=None)
 def matched_local_factor(level: int, t: int, p: int) -> Fraction:
     """a_p O(f) + b_p O(g) at the canonical trace-t element (norm-indexed)."""
-    return _at_canonical_element(
-        lambda x: matched_value(p, level, x, include_norm_index=True), level, t, p)
+    combo = matching_combination(p, level)
+    return (combo.coeff_f * local_factor(OrderKind.M, combo.f_level, t, p)
+            + combo.coeff_g * local_factor(OrderKind.J, combo.g_level, t, p))
 
 
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:
@@ -228,28 +218,34 @@ def local_product(desc: GroupDescriptor, t: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def extract_global_constant(t: int) -> float:
-    """c * dpsi of the full-level group divided by its local product.
+    """c * dpsi of the full-level group Gamma(1) at trace t.
 
-    Group-independent at fixed t; extracted from enumeration, never from
+    Every other group is predicted from it through the ratio of its local
+    factors to Gamma(1)'s; extracted from enumeration, never from
     class-number or regulator formulas.
     """
     base = dpsi_enumerated(1, t)
     if base <= 0:
         raise AssertionError("full-level dpsi must be positive for |t| > 2")
-    gamma1 = GroupDescriptor.principal(1)
-    prod = local_product(gamma1, t)
-    if prod <= 0:
-        raise AssertionError("full-level local product must be positive")
-    return 0.5 * base / float(prod)
+    return 0.5 * base  # c = 1/2: -1 lies in Gamma(1)
 
 
 def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
-    """dpsi of the group at trace t predicted from the local factors."""
-    prod = local_product(desc, t)
-    if prod == 0:
-        return 0.0
-    c = group_c_factor(desc)
-    return extract_global_constant(t) * float(prod) / float(c)
+    """dpsi of the group at trace t predicted from the local factors.
+
+    c dpsi / (c_1 dpsi_1) is local_product(desc) / local_product(Gamma(1)),
+    whose factors agree away from the descriptor's own primes, so only those
+    enter the ratio.
+    """
+    ratio = Fraction(1)
+    for p, kind, level in desc.entries:
+        full = local_factor(OrderKind.M, 0, t, p)
+        if full <= 0:
+            raise AssertionError("full-level local factor must be positive")
+        ratio *= local_factor(kind, level, t, p) / full
+        if ratio == 0:
+            return 0.0
+    return extract_global_constant(t) * float(ratio) / float(group_c_factor(desc))
 
 
 def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:

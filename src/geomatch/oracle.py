@@ -688,6 +688,8 @@ def _check_coverage_size(M: int, samples: int):
         raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
     if samples < 1:
         raise ValueError("coverage needs samples >= 1")
+    if samples > ENUM_CAP:
+        raise EnumerationTooLarge(f"{samples} coverage samples exceed 2^20")
 
 
 def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomatch.assembly import (
     GroupDescriptor,
@@ -13,6 +14,7 @@ from geomatch.assembly import (
     group_c_factor,
     local_factor,
     local_product,
+    matched_local_factor,
     predict_dpsi,
     psi_relation,
     subset_coefficients,
@@ -290,3 +292,78 @@ def test_psi_relation_per_trace_matches_dpsi_relation(data):
         assert vals == tuple(term.dpsi for term in one.terms), t
         assert dq == one.dpsi_quaternion, t
         assert [term.subset for term in one.terms] == [term.subset for term in rep.terms]
+
+
+def _matched_at_canonical_element(level, t, p):
+    """matched_value at the canonical trace-t element, retried as local factors are."""
+    from geomatch.integrals import matched_value
+    from geomatch.padic import (PrecisionExhausted, classify_torus, default_precision,
+                                torus_generator)
+    M = default_precision(t, p) + level
+    for _ in range(6):
+        try:
+            x = torus_generator(classify_torus(t, p, M), t)
+            return matched_value(p, level, x, include_norm_index=True)
+        except PrecisionExhausted:
+            M *= 2
+    raise PrecisionExhausted(f"matched factor at p={p}, t={t} needs more than M={M}")
+
+
+def test_matched_local_factor_equals_matched_value_and_division_factor():
+    # the matched factor is assembled from the cached M and J factors; it must
+    # equal the matched combination evaluated at its own canonical element,
+    # and the division-side factor (the matching identity at that element)
+    for p in (2, 3, 5, 7):
+        for n in range(5):
+            for at in range(3, 61):
+                for t in (at, -at):
+                    got = matched_local_factor(n, t, p)
+                    assert got == _matched_at_canonical_element(n, t, p), (p, n, t)
+                    assert got == local_factor(OrderKind.D, n, t, p), (p, n, t)
+
+
+def _ratio_descriptors():
+    descs = [GroupDescriptor.principal(N) for N in range(1, 13)]
+    for data in (RamifiedLevelData((2, 3)), RamifiedLevelData((2, 3), ((2, 1),)),
+                 RamifiedLevelData((2, 3), ((2, 1), (3, 1))),
+                 RamifiedLevelData((2, 11), ((2, 3),)),
+                 RamifiedLevelData((3, 5, 7, 11))):
+        descs.extend(GroupDescriptor.eichler(data, I) for I in subset_coefficients(data))
+        descs.append(GroupDescriptor.quaternion(data))
+    return descs
+
+
+def test_predict_is_gamma1_times_ratio_over_own_primes():
+    # local_product(Gamma(1)) times the ratio over the descriptor's primes is
+    # the full local product exactly, and the prediction stays within 1e-14
+    # of dividing the full products: 0.5 dpsi_1 / P_1 * P_desc / c
+    gamma1 = GroupDescriptor.principal(1)
+    for desc in _ratio_descriptors():
+        c = group_c_factor(desc)
+        for at in range(3, 141):
+            for t in (at, -at):
+                ratio = Fraction(1)
+                for p, kind, level in desc.entries:
+                    ratio *= local_factor(kind, level, t, p) / local_factor(OrderKind.M, 0, t, p)
+                prod = local_product(desc, t)
+                assert local_product(gamma1, t) * ratio == prod, (desc, t)
+                full = 0.0 if prod == 0 else (
+                    0.5 * dpsi_enumerated(1, t) / float(local_product(gamma1, t))
+                    * float(prod) / float(c))
+                pred = predict_dpsi(desc, t)
+                assert abs(pred - full) <= 1e-14 * full, (desc, t, pred, full)
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(0, 20),
+       u=st.integers(1, 10 ** 4), sign=st.sampled_from([1, -1]),
+       level=st.integers(0, 3))
+def test_local_factors_at_adversarial_traces(p, k, u, sign, level):
+    # t = +-(2 + u p^k) pushes v_p(t^2 - 4) up to k and beyond; every step
+    # must finish inside hypothesis' default deadline
+    t = sign * (2 + u * p ** k)
+    from geomatch.padic import classify_torus, torus_generator
+    torus_generator(classify_torus(t, p), t)
+    for kind in (OrderKind.M, OrderKind.J, OrderKind.D):
+        local_factor(kind, level, t, p)
+    assert matched_local_factor(level, t, p) == local_factor(OrderKind.D, level, t, p)

@@ -47,7 +47,9 @@ def test_usage_errors(capsys):
     # traces above MAX_TRACE fail fast instead of walking ~1e6 traces
     for argv in (["spectrum", "--x-max", "1e12"], ["relation", "--x-max", "1e12"],
                  ["report", "--x-grid", "100,1e12"],
-                 ["classes", "--t-min", "3", "--t-max", "100000000"]):
+                 ["classes", "--t-min", "3", "--t-max", "100000000"],
+                 # coverage samples above ENUM_CAP fail before any draw
+                 ["coverage", "--samples", "100000000"]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv

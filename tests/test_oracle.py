@@ -198,6 +198,14 @@ def test_coverage_smoke():
     assert rep.ok and 0 in rep.r_histogram  # ramified tori do reach level 0
 
 
+def test_coverage_rejects_samples_above_cap():
+    # checked before the sample stream is drawn, so it fails at once
+    with pytest.raises(EnumerationTooLarge):
+        coset_coverage_split(OrderKind.M, 2, 3, oracle.ENUM_CAP + 1)
+    with pytest.raises(EnumerationTooLarge):
+        coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, 2, oracle.ENUM_CAP + 1)
+
+
 def test_coverage_rejects_precision_below_two():
     # no determinant has 1 <= v(det) <= M - 1 when M < 2, so sampling cannot
     # end; a run that draws no sample certifies nothing
