@@ -26,6 +26,8 @@ from .orders import (
     congruence_subgroup_membership,
 )
 from .padic import (
+    ENUM_CAP,
+    EnumerationTooLarge,
     PAdicContext,
     PrecisionExhausted,
     classify_torus,
@@ -356,9 +358,14 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     with the weight c_I 2 sqrt(|t|-2), i.e. the log of the class norm.  The
     quaternion-side value is *defined* through this identity (the division
     side has no direct geodesic enumeration here); the report says so.
+    Raises EnumerationTooLarge, before any work, when the per_trace table
+    (2^|ram| groups times the signed traces up to x) would exceed ENUM_CAP.
     """
     if x < 10:
         raise ValueError("x must be >= 10")
+    size = 2 ** len(data.ram) * 2 * (trace_bound(x) - 2)
+    if size > ENUM_CAP:
+        raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
     groups, c_q = _relation_groups(data)
     psi_terms = [0.0] * len(groups)
     per_trace = []

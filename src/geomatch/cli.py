@@ -1,9 +1,10 @@
 """Command-line orchestration: verification suites, spectra, and reports.
 
 Exit codes: 0 success, 1 identity violation found, 2 precision exhausted,
-3 enumeration too large, 64 usage error.  Reports embed the tool version,
-the effective configuration, the seed, and the normalization ledger; output
-is deterministic for a fixed (config, seed).
+3 enumeration too large, 64 usage error (a flag or config value breaking its
+rule, an unreadable config file, an unwritable output path).  Reports embed
+the tool version, the effective configuration, the seed, and the
+normalization ledger; output is deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
-from .assembly import (
-    RamifiedLevelData,
-    psi_relation,
-)
+from .assembly import RamifiedLevelData, psi_relation
 from .geodesics import MAX_SPLITTING_LEVEL, pgt_report, signed_traces, trace_row
 from .geodesics import sl2_classes  # noqa: F401  (read by the benchmark harness)
 from .integrals import TestFunctionSpec, orbital, verify_matching
 from .oracle import (
+    check_coverage_size,
     coset_coverage_nonsplit,
     coset_coverage_split,
     index_enumeration_test,
@@ -141,9 +140,17 @@ def emit_csv(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _open(path: str, mode: str):
+    """open(), with an unreadable or unwritable path reported as a usage error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror}") from exc
+
+
 def _write(cfg: RunConfig, text: str):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with _open(cfg.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -251,28 +258,52 @@ def run_verify_matching(primes, n_max: int) -> dict:
 
 def run_coverage(decomposition: str, p: int, M: int, samples: int, seed: int,
                  torus_kind: str = UNRAMIFIED) -> dict:
-    if decomposition == "split-M":
-        rep = coset_coverage_split(OrderKind.M, p, M, samples, seed)
-    elif decomposition == "split-J":
-        rep = coset_coverage_split(OrderKind.J, p, M, samples, seed)
-    elif decomposition == "nonsplit-M":
-        rep = coset_coverage_nonsplit(OrderKind.M, torus_kind, p, M, samples, seed)
-    elif decomposition == "nonsplit-J":
-        rep = coset_coverage_nonsplit(OrderKind.J, torus_kind, p, M, samples, seed)
-    else:
-        raise UsageError(f"unknown decomposition {decomposition!r}")
-    return rep.to_dict()
+    kind = OrderKind(decomposition.split("-")[1])
+    if decomposition.startswith("split"):
+        return coset_coverage_split(kind, p, M, samples, seed).to_dict()
+    return coset_coverage_nonsplit(kind, torus_kind, p, M, samples, seed).to_dict()
 
 
 # ---------------------------------------------------------------------------
-# commands
+# input rules: each flag's type= converter, so --config values obey them too
+
+
+def _rule(convert, ok, what: str):
+    """A type= converter: convert the text, then require ok(value)."""
+    def conv(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return conv
+
+
+def _list_of(convert):
+    """Comma-separated entries, each passed through convert."""
+    return lambda text: [convert(s) for s in text.split(",") if s.strip()]
+
+
+def _one_of(convert, allowed):
+    return _rule(convert, lambda v: v in allowed,
+                 "one of " + ", ".join(map(str, allowed)))
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    return _rule(int, lambda v: lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+DECOMPOSITIONS = ("split-M", "split-J", "nonsplit-M", "nonsplit-J")
 
 
 def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+    sp.add_argument("--format", dest="fmt", type=_one_of(str, ("json", "csv")),
+                    default="json")
 
 
 def build_parser() -> Parser:
@@ -280,57 +311,63 @@ def build_parser() -> Parser:
     ps.add_argument("--version", action="store_true")
     sub = ps.add_subparsers(dest="command")
     ps.commands = sub.choices  # subcommand name -> its parser
+    level = _int_in(1, MAX_SPLITTING_LEVEL)
+    x = _rule(float, lambda v: math.isfinite(v) and v >= 10, "a finite x >= 10")
 
     sp = sub.add_parser("verify-local", help="closed forms against the oracle")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n-max", type=int, default=3)
+    sp.add_argument("--p", type=_one_of(int, (2, 3, 5)), default=2)
+    sp.add_argument("--n-max", type=_int_in(0, 6), default=3)
     sp.add_argument("--M", type=int, default=12)
     _add_common(sp)
 
     sp = sub.add_parser("verify-matching", help="split vanishing and field matching")
-    sp.add_argument("--primes", default="2,3,5")
-    sp.add_argument("--n-max", type=int, default=6)
+    sp.add_argument("--primes", default="2,3,5",
+                    type=_rule(_list_of(_one_of(int, (2, 3, 5))), bool, "a nonempty list"))
+    sp.add_argument("--n-max", type=_int_in(0, 8), default=6)
     _add_common(sp)
 
     sp = sub.add_parser("coverage", help="coset decomposition coverage")
     sp.add_argument("--decomposition", default="all",
-                    choices=("all", "split-M", "split-J", "nonsplit-M", "nonsplit-J"))
-    sp.add_argument("--p", type=int, default=2)
+                    type=_one_of(str, ("all", *DECOMPOSITIONS)))
+    sp.add_argument("--p", type=_one_of(int, (2, 3)), default=2)
     sp.add_argument("--M", type=int, default=3)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--torus", default=UNRAMIFIED,
-                    choices=(UNRAMIFIED, RAMIFIED))
+                    type=_one_of(str, (UNRAMIFIED, RAMIFIED)))
     _add_common(sp)
 
     sp = sub.add_parser("classes", help="conjugacy classes per trace")
-    sp.add_argument("--t-min", type=int, default=3)
+    sp.add_argument("--t-min", type=_int_in(3), default=3)
     sp.add_argument("--t-max", type=int, default=12)
-    sp.add_argument("--level", type=int, default=1)
+    sp.add_argument("--level", type=level, default=1)
     _add_common(sp)
 
     sp = sub.add_parser("spectrum", help="counting functions on an x grid")
-    sp.add_argument("--level", type=int, default=1)
-    sp.add_argument("--x-max", type=float, default=10000.0)
-    sp.add_argument("--x-count", type=int, default=12)
+    sp.add_argument("--level", type=level, default=1)
+    sp.add_argument("--x-max", type=x, default=10000.0)
+    sp.add_argument("--x-count", type=_int_in(1), default=12)
     _add_common(sp)
 
     sp = sub.add_parser("relation", help="quaternion-side counting identity")
-    sp.add_argument("--ramified", default="2,3")
-    sp.add_argument("--exponents", default="")
-    sp.add_argument("--x-max", type=float, default=5000.0)
+    sp.add_argument("--ramified", default="2,3",
+                    type=_rule(_list_of(_int_in(2)), bool, "a nonempty list"))
+    sp.add_argument("--exponents", default="", type=_list_of(_rule(
+        lambda e: tuple(map(int, e.split("="))), lambda e: len(e) == 2, "a prime=level pair")))
+    sp.add_argument("--x-max", type=x, default=5000.0)
     sp.add_argument("--csv-out", default=None)
     _add_common(sp)
 
     sp = sub.add_parser("report", help="prime-geodesic table at given x values")
-    sp.add_argument("--level", type=int, default=1)
-    sp.add_argument("--x-grid", default="100,1000,10000")
+    sp.add_argument("--level", type=level, default=1)
+    sp.add_argument("--x-grid", default="100,1000,10000",
+                    type=_rule(_list_of(x), bool, "a nonempty list"))
     _add_common(sp)
     return ps
 
 
 def _load_config(path: str) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
@@ -340,49 +377,30 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _parse_primes(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad prime list {text!r}") from exc
-
-
-def _parse_exponents(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise UsageError(f"bad exponent entry {part!r}")
-        k, v = part.split("=", 1)
-        out[int(k)] = int(v)
-    return out
+def _parse(parser: Parser, argv):
+    args = parser.parse_args(argv)
+    if args.command and args.config:
+        # config values become the subcommand's defaults, so explicit flags
+        # win and argparse passes the values through each flag's type rule
+        sub = parser.commands[args.command]
+        known = vars(sub.parse_args([]))
+        sub.set_defaults(**{k: v for k, v in _load_config(args.config).items()
+                            if k in known})
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command and args.config:
-            # config values become the subcommand's defaults, so explicit
-            # flags win and argparse converts the values with each flag's type
-            sub = parser.commands[args.command]
-            known = vars(sub.parse_args([]))
-            sub.set_defaults(**{k: v for k, v in _load_config(args.config).items()
-                                if k in known})
-            args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.version:
-        print(__version__)
-        return EXIT_OK
-    if not args.command:
-        parser.print_help()
-        return EXIT_USAGE
-    try:
-        return _dispatch(args)
+        args = _parse(parser, argv)
+        if args.version:
+            print(__version__)
+            return EXIT_OK
+        if not args.command:
+            parser.print_help()
+            return EXIT_USAGE
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -394,126 +412,97 @@ def main(argv=None) -> int:
         return EXIT_TOO_LARGE
 
 
-def _cfg(args, command: str, params: dict) -> RunConfig:
-    return RunConfig(command=command, params=params,
-                     seed=args.seed if args.seed is not None else 0,
-                     out=args.out, fmt=args.fmt or "json")
+# ---------------------------------------------------------------------------
+# one handler per subcommand
 
 
-def _x_values(args) -> list[float]:
-    """The x values a command counts up to: the report grid, or [x-max]."""
-    if args.command == "report":
-        try:
-            xs = [float(s) for s in args.x_grid.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad x grid {args.x_grid!r}") from exc
-        if not xs:
-            raise UsageError("x grid is empty")
-        return xs
-    if args.command in ("spectrum", "relation"):
-        return [args.x_max]
-    return []
+def _cfg(args, params: dict) -> RunConfig:
+    return RunConfig(args.command, params, args.seed, args.out, args.fmt)
 
 
-def _dispatch(args) -> int:
-    if (args.command in ("classes", "spectrum", "report")
-            and not 1 <= args.level <= MAX_SPLITTING_LEVEL):
-        raise UsageError(f"level must be in [1, {MAX_SPLITTING_LEVEL}]")
-    xs = _x_values(args)
-    if not all(math.isfinite(x) and x >= 10 for x in xs):
-        raise UsageError("x values must be finite and >= 10")
-    if args.command == "verify-local":
-        if args.p not in (2, 3, 5):
-            raise UsageError("p must be one of 2, 3, 5")
-        if not (0 <= args.n_max <= 6):
-            raise UsageError("n-max must be in [0, 6]")
-        cfg = _cfg(args, "verify-local",
-                   {"p": args.p, "n_max": args.n_max, "M": args.M})
-        res = run_verify_local(args.p, args.n_max, args.M)
-        _write(cfg, emit_json(cfg, res))
-        return EXIT_OK if res["ok"] else EXIT_VIOLATION
+def _write_json(cfg: RunConfig, results, ok: bool = True) -> int:
+    _write(cfg, emit_json(cfg, results))
+    return EXIT_OK if ok else EXIT_VIOLATION
 
-    if args.command == "verify-matching":
-        primes = _parse_primes(args.primes)
-        if not primes or any(p not in (2, 3, 5) for p in primes):
-            raise UsageError("primes must be a nonempty list among 2, 3, 5")
-        if not (0 <= args.n_max <= 8):
-            raise UsageError("n-max must be in [0, 8]")
-        cfg = _cfg(args, "verify-matching",
-                   {"primes": primes, "n_max": args.n_max})
-        res = run_verify_matching(primes, args.n_max)
-        _write(cfg, emit_json(cfg, res))
-        return EXIT_OK if res["ok"] else EXIT_VIOLATION
 
-    if args.command == "coverage":
-        if args.p not in (2, 3):
-            raise UsageError("coverage supports p in {2, 3}")
-        if args.M < 2:
-            raise UsageError("coverage needs M >= 2")
-        if args.samples < 1:
-            raise UsageError("coverage needs samples >= 1")
-        names = (["split-M", "split-J", "nonsplit-M", "nonsplit-J"]
-                 if args.decomposition == "all" else [args.decomposition])
-        seed = args.seed if args.seed is not None else 0
-        cfg = _cfg(args, "coverage",
-                   {"decomposition": args.decomposition, "p": args.p,
-                    "M": args.M, "samples": args.samples, "torus": args.torus})
-        results = [run_coverage(name, args.p, args.M, args.samples, seed,
-                                args.torus) for name in names]
-        _write(cfg, emit_json(cfg, results))
-        return EXIT_OK if all(r["ok"] for r in results) else EXIT_VIOLATION
+def _verify_local(args) -> int:
+    cfg = _cfg(args, {"p": args.p, "n_max": args.n_max, "M": args.M})
+    res = run_verify_local(args.p, args.n_max, args.M)
+    return _write_json(cfg, res, res["ok"])
 
-    if args.command == "classes":
-        if args.t_min < 3 or args.t_max < args.t_min:
-            raise UsageError("need 3 <= t-min <= t-max")
-        cfg = _cfg(args, "classes",
-                   {"t_min": args.t_min, "t_max": args.t_max, "level": args.level})
-        rows = [[r.t, r.class_count_sl2, r.classes_in_level, r.dpsi]
-                for r in (trace_row(args.level, t)
-                          for t in signed_traces(args.t_min, args.t_max))]
-        return _write_table(cfg, ["t", "class_count_sl2", "classes_in_level", "dpsi"], rows)
 
-    if args.command == "spectrum":
-        if args.x_count < 1:
-            raise UsageError("x-count must be >= 1")
-        return _pgt_table(args, {"level": args.level, "x_max": args.x_max,
-                                 "x_count": args.x_count},
-                          _geometric_grid(args.x_max, args.x_count))
+def _verify_matching(args) -> int:
+    cfg = _cfg(args, {"primes": args.primes, "n_max": args.n_max})
+    res = run_verify_matching(args.primes, args.n_max)
+    return _write_json(cfg, res, res["ok"])
 
-    if args.command == "relation":
-        ram = _parse_primes(args.ramified)
-        try:
-            data = RamifiedLevelData(tuple(ram),
-                                     tuple(_parse_exponents(args.exponents).items()))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        cfg = _cfg(args, "relation",
-                   {"ramified": ram, "exponents": args.exponents,
-                    "x_max": args.x_max})
-        rep = psi_relation(data, args.x_max)
-        res = {
-            "x": rep.x,
-            "psi_D": rep.psi_quaternion,
-            "terms": [{"subset": list(t.subset), "coefficient": str(t.coefficient),
-                       "psi": t.psi, "mode": t.mode} for t in rep.terms],
-            "coefficient_sum": str(rep.coefficient_sum),
-            "error": rep.error,
-            "bound_7_10": rep.bound_7_10,
-            "note": rep.note,
-        }
-        _write(cfg, emit_json(cfg, res))
-        if args.csv_out:
-            header = ["t"] + [f"dpsi_I_{'_'.join(map(str, t.subset)) or 'none'}"
-                              for t in rep.terms] + ["dpsi_quaternion"]
-            rows = [[t, *vals, dq] for t, vals, dq in rep.per_trace]
-            ccfg = replace(cfg, out=args.csv_out, fmt="csv")
-            _write(ccfg, emit_csv(ccfg, header, rows))
-        return EXIT_OK
 
-    if args.command == "report":
-        return _pgt_table(args, {"level": args.level, "x_grid": xs}, xs)
+def _coverage(args) -> int:
+    try:
+        check_coverage_size(args.M, args.samples)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    cfg = _cfg(args, {"decomposition": args.decomposition, "p": args.p,
+                      "M": args.M, "samples": args.samples, "torus": args.torus})
+    names = DECOMPOSITIONS if args.decomposition == "all" else [args.decomposition]
+    results = [run_coverage(name, args.p, args.M, args.samples, args.seed, args.torus)
+               for name in names]
+    return _write_json(cfg, results, all(r["ok"] for r in results))
 
-    raise UsageError(f"unknown command {args.command!r}")
+
+def _classes(args) -> int:
+    if args.t_max < args.t_min:
+        raise UsageError("need t-min <= t-max")
+    cfg = _cfg(args, {"t_min": args.t_min, "t_max": args.t_max, "level": args.level})
+    rows = [[r.t, r.class_count_sl2, r.classes_in_level, r.dpsi]
+            for r in (trace_row(args.level, t)
+                      for t in signed_traces(args.t_min, args.t_max))]
+    return _write_table(cfg, ["t", "class_count_sl2", "classes_in_level", "dpsi"], rows)
+
+
+def _spectrum(args) -> int:
+    return _pgt_table(args, {"level": args.level, "x_max": args.x_max,
+                             "x_count": args.x_count},
+                      _geometric_grid(args.x_max, args.x_count))
+
+
+def _report(args) -> int:
+    return _pgt_table(args, {"level": args.level, "x_grid": args.x_grid}, args.x_grid)
+
+
+def _relation(args) -> int:
+    try:
+        data = RamifiedLevelData(tuple(args.ramified), tuple(args.exponents))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    cfg = _cfg(args, {"ramified": args.ramified,
+                      "exponents": ",".join(f"{p}={n}" for p, n in args.exponents),
+                      "x_max": args.x_max})
+    rep = psi_relation(data, args.x_max)
+    code = _write_json(cfg, {
+        "x": rep.x, "psi_D": rep.psi_quaternion,
+        "terms": [{"subset": list(t.subset), "coefficient": str(t.coefficient),
+                   "psi": t.psi, "mode": t.mode} for t in rep.terms],
+        "coefficient_sum": str(rep.coefficient_sum), "error": rep.error,
+        "bound_7_10": rep.bound_7_10, "note": rep.note})
+    if args.csv_out:
+        header = ["t"] + [f"dpsi_I_{'_'.join(map(str, t.subset)) or 'none'}"
+                          for t in rep.terms] + ["dpsi_quaternion"]
+        rows = [[t, *vals, dq] for t, vals, dq in rep.per_trace]
+        ccfg = replace(cfg, out=args.csv_out, fmt="csv")
+        _write(ccfg, emit_csv(ccfg, header, rows))
+    return code
+
+
+COMMANDS = {
+    "verify-local": _verify_local,
+    "verify-matching": _verify_matching,
+    "coverage": _coverage,
+    "classes": _classes,
+    "spectrum": _spectrum,
+    "relation": _relation,
+    "report": _report,
+}
 
 
 def _geometric_grid(x_max: float, count: int) -> list[float]:
@@ -526,7 +515,7 @@ def _geometric_grid(x_max: float, count: int) -> list[float]:
 
 def _pgt_table(args, params: dict, xs: list[float]) -> int:
     """The counting-function table of spectrum and report, one row per x."""
-    cfg = _cfg(args, args.command, params)
+    cfg = _cfg(args, params)
     header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x", "pi_minus_li"]
     rows = [[getattr(r, h) for h in header] for r in pgt_report(args.level, xs)]
     return _write_table(cfg, header, rows)

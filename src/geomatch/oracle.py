@@ -33,6 +33,7 @@ from .orders import (
     split_conjugate,
 )
 from .padic import (
+    ENUM_CAP,
     GUARD,
     EnumerationTooLarge,
     PAdicContext,
@@ -48,8 +49,6 @@ from .padic import (
     unramified_generator_constant,
     unramified_torus,
 )
-
-ENUM_CAP = 2 ** 20
 
 
 def _check_cap(size: int):
@@ -683,7 +682,8 @@ def _coset_disjoint_split(work: PAdicContext, kind: OrderKind, r1: int,
     return True
 
 
-def _check_coverage_size(M: int, samples: int):
+def check_coverage_size(M: int, samples: int):
+    """ValueError when the inputs certify nothing, EnumerationTooLarge above ENUM_CAP."""
     if M < 2:
         raise ValueError("coverage needs M >= 2: no determinant has 1 <= v(det) <= M - 1")
     if samples < 1:
@@ -701,7 +701,7 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
     Every sample gets a constructive witness for its classified coset, and
     pairwise disjointness of all cosets in range is certified once.
     """
-    _check_coverage_size(M, samples)
+    check_coverage_size(M, samples)
     name = "split-M" if kind is OrderKind.M else "split-J"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
@@ -805,7 +805,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
     For the Iwahori order over an unramified torus a level-0 assignment is a
     violation (there is no such optimal embedding).
     """
-    _check_coverage_size(M, samples)
+    check_coverage_size(M, samples)
     name = f"nonsplit-{kind.value}"
     rep = CoverageReport(name, p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))

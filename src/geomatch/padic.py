@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 GUARD = 2
+ENUM_CAP = 2 ** 20  # the most items any exhaustive enumeration may produce
 
 SPLIT = "split"
 UNRAMIFIED = "unramified-field"
@@ -25,7 +26,7 @@ class PrecisionExhausted(ArithmeticError):
 
 
 class EnumerationTooLarge(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed the size cap."""
+    """Raised when an exhaustive enumeration would exceed ENUM_CAP."""
 
 
 class NonHyperbolicTrace(ValueError):

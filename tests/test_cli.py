@@ -24,7 +24,7 @@ def test_version(capsys):
     assert code == EXIT_OK and out.strip() == "0.1.0"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert main(["verify-local", "--p", "7"]) == EXIT_USAGE
     assert main(["relation", "--ramified", "2,3,5"]) == EXIT_USAGE
     assert main(["spectrum", "--level", "9"]) == EXIT_USAGE
@@ -44,15 +44,33 @@ def test_usage_errors(capsys):
         assert main(["spectrum", "--x-max", x]) == EXIT_USAGE
     assert main(["relation", "--x-max", "nan"]) == EXIT_USAGE
     assert main(["report", "--x-grid", "nan"]) == EXIT_USAGE
+    # an unreadable config or an unwritable output is a usage error, not a crash
+    missing = str(tmp_path / "no" / "dir")
+    assert main(["spectrum", "--config", missing]) == EXIT_USAGE
+    assert main(["spectrum", "--out", f"{missing}/x.json"]) == EXIT_USAGE
+    assert main(["relation", "--x-max", "100", "--csv-out", f"{missing}/x.csv"]) == EXIT_USAGE
     # traces above MAX_TRACE fail fast instead of walking ~1e6 traces
     for argv in (["spectrum", "--x-max", "1e12"], ["relation", "--x-max", "1e12"],
                  ["report", "--x-grid", "100,1e12"],
                  ["classes", "--t-min", "3", "--t-max", "100000000"],
                  # coverage samples above ENUM_CAP fail before any draw
-                 ["coverage", "--samples", "100000000"]):
+                 ["coverage", "--samples", "100000000"],
+                 # 2^18 Eichler groups times 16 traces exceed ENUM_CAP
+                 ["relation", "--x-max", "100", "--ramified",
+                  "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv
+
+
+def test_config_values_obey_flag_rules(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    for command, line in (("coverage", "torus=bogus"), ("coverage", "torus=split"),
+                          ("spectrum", "fmt=xml"), ("coverage", "decomposition=bogus"),
+                          ("verify-local", "p=7"), ("spectrum", "level=9"),
+                          ("relation", "x_max=nan"), ("verify-matching", "primes=7")):
+        conf.write_text(line + "\n")
+        assert main([command, "--config", str(conf)]) == EXIT_USAGE, line
 
 
 def test_precision_exit(capsys):
