@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 identity violation found, 2 precision exhausted,
 rule, an unreadable config file, an unwritable output path).  Reports embed
 the tool version, the effective configuration, the seed, and the
 normalization ledger; output is deterministic for a fixed (config, seed).
+Only coverage, which draws samples, takes --seed; only classes, spectrum and
+report, which write a table, take --format.  The others report seed 0 and
+json.  coverage exits 3 above M = 56 (over 2^20 split axis points).
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def run_verify_matching(primes, n_max: int) -> dict:
             for n in range(0, n_max + 1):
                 for i, j, x in _grid(torus, span):
                     for flag in (False, True):
-                        rep = verify_matching(p, n, x, flag)
+                        rep = verify_matching(n, x, flag)
                         checked += 1
                         if not rep.equal:
                             failures.append({
@@ -300,19 +303,18 @@ DECOMPOSITIONS = ("split-M", "split-J", "nonsplit-M", "nonsplit-J")
 
 def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", type=_one_of(str, ("json", "csv")),
-                    default="json")
 
 
 def build_parser() -> Parser:
     ps = Parser(prog="geomatch", description=__doc__)
     ps.add_argument("--version", action="store_true")
+    ps.set_defaults(seed=0, fmt="json")  # echoed by the commands without the flag
     sub = ps.add_subparsers(dest="command")
     ps.commands = sub.choices  # subcommand name -> its parser
     level = _int_in(1, MAX_SPLITTING_LEVEL)
     x = _rule(float, lambda v: math.isfinite(v) and v >= 10, "a finite x >= 10")
+    table_format = _one_of(str, ("json", "csv"))
 
     sp = sub.add_parser("verify-local", help="closed forms against the oracle")
     sp.add_argument("--p", type=_one_of(int, (2, 3, 5)), default=2)
@@ -334,18 +336,21 @@ def build_parser() -> Parser:
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--torus", default=UNRAMIFIED,
                     type=_one_of(str, (UNRAMIFIED, RAMIFIED)))
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
 
     sp = sub.add_parser("classes", help="conjugacy classes per trace")
     sp.add_argument("--t-min", type=_int_in(3), default=3)
     sp.add_argument("--t-max", type=int, default=12)
     sp.add_argument("--level", type=level, default=1)
+    sp.add_argument("--format", dest="fmt", type=table_format, default="json")
     _add_common(sp)
 
     sp = sub.add_parser("spectrum", help="counting functions on an x grid")
     sp.add_argument("--level", type=level, default=1)
     sp.add_argument("--x-max", type=x, default=10000.0)
     sp.add_argument("--x-count", type=_int_in(1), default=12)
+    sp.add_argument("--format", dest="fmt", type=table_format, default="json")
     _add_common(sp)
 
     sp = sub.add_parser("relation", help="quaternion-side counting identity")
@@ -361,6 +366,7 @@ def build_parser() -> Parser:
     sp.add_argument("--level", type=level, default=1)
     sp.add_argument("--x-grid", default="100,1000,10000",
                     type=_rule(_list_of(x), bool, "a nonempty list"))
+    sp.add_argument("--format", dest="fmt", type=table_format, default="json")
     _add_common(sp)
     return ps
 
@@ -489,8 +495,7 @@ def _relation(args) -> int:
         header = ["t"] + [f"dpsi_I_{'_'.join(map(str, t.subset)) or 'none'}"
                           for t in rep.terms] + ["dpsi_quaternion"]
         rows = [[t, *vals, dq] for t, vals, dq in rep.per_trace]
-        ccfg = replace(cfg, out=args.csv_out, fmt="csv")
-        _write(ccfg, emit_csv(ccfg, header, rows))
+        _write_table(replace(cfg, out=args.csv_out, fmt="csv"), header, rows)
     return code
 
 

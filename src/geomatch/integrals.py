@@ -213,9 +213,6 @@ def matching_combination(q: int, n: int) -> MatchingCombination:
 class MatchReport:
     """Both sides of the matching identity at one (level, torus, element)."""
 
-    q: int
-    n: int
-    torus_kind: str
     lhs: Fraction
     rhs: Fraction
 
@@ -224,23 +221,21 @@ class MatchReport:
         return self.lhs == self.rhs
 
 
-def matched_value(q: int, n: int, x: RegularElement,
+def matched_value(n: int, x: RegularElement,
                   include_norm_index: bool = False) -> Fraction:
     """a * O(f_{n1}) + b * O(g_{n2}) at x, the matrix side of the matching."""
-    combo = matching_combination(q, n)
+    combo = matching_combination(x.ctx.q, n)
     vf = orbital(TestFunctionSpec(OrderKind.M, combo.f_level, include_norm_index), x)
     vg = orbital(TestFunctionSpec(OrderKind.J, combo.g_level, include_norm_index), x)
     return combo.coeff_f * vf + combo.coeff_g * vg
 
 
-def verify_matching(q: int, n: int, x: RegularElement,
+def verify_matching(n: int, x: RegularElement,
                     include_norm_index: bool = False) -> MatchReport:
     """Compare the matrix-side combination against the division side at x.
 
     Split tori must give 0; field tori must equal the phi_n orbital.
     """
-    if q != x.ctx.q:
-        raise ValueError("q must match the element's residue size")
-    lhs = matched_value(q, n, x, include_norm_index)
+    lhs = matched_value(n, x, include_norm_index)
     rhs = orbital(TestFunctionSpec(OrderKind.D, n, include_norm_index), x)
-    return MatchReport(q, n, x.torus.kind, lhs, rhs)
+    return MatchReport(lhs, rhs)

@@ -690,6 +690,9 @@ def check_coverage_size(M: int, samples: int):
         raise ValueError("coverage needs samples >= 1")
     if samples > ENUM_CAP:
         raise EnumerationTooLarge(f"{samples} coverage samples exceed 2^20")
+    R = 2 * M + 1  # the split disjointness pass scans R (R + 1) (4R + 17) / 6 axis points
+    if R * (R + 1) * (4 * R + 17) // 6 > ENUM_CAP:
+        raise EnumerationTooLarge(f"coverage at M = {M} scans over 2^20 axis points")
 
 
 def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,

@@ -324,25 +324,21 @@ def _unramified_torus(ctx: PAdicContext) -> TorusData:
     return TorusData(ctx, UNRAMIFIED, T=1, N=-c % ctx.modulus)
 
 
-def ramified_torus(p: int, M: int, unit: int = 1) -> TorusData:
-    """The ramified quadratic Q_p(sqrt(p * unit)), theta0 = sqrt(p * unit)."""
-    return _ramified_torus(PAdicContext(p, M), unit)
+def ramified_torus(p: int, M: int) -> TorusData:
+    """The ramified quadratic Q_p(sqrt(p)), theta0 = sqrt(p)."""
+    return _ramified_torus(PAdicContext(p, M), 1)
 
 
 def _ramified_torus(ctx: PAdicContext, unit: int) -> TorusData:
-    if not ctx.is_unit(unit):
-        raise ValueError("unit part must be a unit")
     return TorusData(ctx, RAMIFIED, T=0, N=-ctx.p * unit % ctx.modulus)
 
 
-def ramified_torus_2nonsplit(M: int, unit: int = 3) -> TorusData:
-    """The ramified Q_2(sqrt(u)) for u = 3 mod 4, theta0 = 1 + sqrt(u)."""
-    return _ramified_torus_2nonsplit(PAdicContext(2, M), unit)
+def ramified_torus_2nonsplit(M: int) -> TorusData:
+    """The ramified Q_2(sqrt(3)), theta0 = 1 + sqrt(3)."""
+    return _ramified_torus_2nonsplit(PAdicContext(2, M), 3)
 
 
 def _ramified_torus_2nonsplit(ctx: PAdicContext, unit: int) -> TorusData:
-    if unit % 4 != 3:
-        raise ValueError("needs unit = 3 mod 4")
     return TorusData(ctx, RAMIFIED, T=2, N=(1 - unit) % ctx.modulus)
 
 

@@ -102,7 +102,7 @@ def test_criterion_2_split_vanishing():
                     if a % q == 0:
                         continue
                     x = tor.element(a, 1)
-                    rep = verify_matching(q, n, x)
+                    rep = verify_matching(n, x)
                     assert rep.lhs == 0 == rep.rhs, (q, n, i, u)
                     checked += 1
     dt = time.time() - t0
@@ -120,7 +120,7 @@ def test_criterion_3_field_matching():
                 for i in range(0, 5):
                     for j in range(0, 5):
                         x = tor.element(1 + p ** i, p ** j)
-                        rep = verify_matching(p, n, x)
+                        rep = verify_matching(n, x)
                         assert rep.equal, (p, tor.kind, n, i, j)
                         checked += 1
             # proof values at even levels: (2/e) q^(4n) (1 - q^-2) 1_{U^{en}}
@@ -128,7 +128,7 @@ def test_criterion_3_field_matching():
                 for i in range(0, 4):
                     for j in range(0, 4):
                         x = tor.element(1 + p ** i, p ** j)
-                        got = matched_value(p, 2 * n, x)
+                        got = matched_value(2 * n, x)
                         want = (Fraction(2, e) * p ** (4 * n)
                                 * (1 - Fraction(1, p * p))
                                 if x.in_unit_filtration(e * n) else Fraction(0))

@@ -303,7 +303,7 @@ def _matched_at_canonical_element(level, t, p):
     for _ in range(6):
         try:
             x = torus_generator(classify_torus(t, p, M), t)
-            return matched_value(p, level, x, include_norm_index=True)
+            return matched_value(level, x, include_norm_index=True)
         except PrecisionExhausted:
             M *= 2
     raise PrecisionExhausted(f"matched factor at p={p}, t={t} needs more than M={M}")

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 
 
@@ -9,6 +10,7 @@ from geomatch.cli import (
     EXIT_PRECISION,
     EXIT_TOO_LARGE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -44,6 +46,12 @@ def test_usage_errors(tmp_path, capsys):
         assert main(["spectrum", "--x-max", x]) == EXIT_USAGE
     assert main(["relation", "--x-max", "nan"]) == EXIT_USAGE
     assert main(["report", "--x-grid", "nan"]) == EXIT_USAGE
+    # --format only where a table is written, --seed only where samples are drawn
+    for command in ("verify-local", "verify-matching", "coverage", "relation"):
+        assert main([command, "--format", "csv"]) == EXIT_USAGE, command
+    for command in ("verify-local", "verify-matching", "classes", "spectrum",
+                    "relation", "report"):
+        assert main([command, "--seed", "1"]) == EXIT_USAGE, command
     # an unreadable config or an unwritable output is a usage error, not a crash
     missing = str(tmp_path / "no" / "dir")
     assert main(["spectrum", "--config", missing]) == EXIT_USAGE
@@ -55,12 +63,24 @@ def test_usage_errors(tmp_path, capsys):
                  ["classes", "--t-min", "3", "--t-max", "100000000"],
                  # coverage samples above ENUM_CAP fail before any draw
                  ["coverage", "--samples", "100000000"],
+                 # the split disjointness pass scans over 2^20 axis points
+                 ["coverage", "--M", "64"], ["coverage", "--M", "1000"],
                  # 2^18 Eichler groups times 16 traces exceed ENUM_CAP
                  ["relation", "--x-max", "100", "--ramified",
                   "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line.split("#")[0].split()[1:]
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("geomatch ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        build_parser().parse_args(argv)  # a flag README names but no parser has raises
 
 
 def test_config_values_obey_flag_rules(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_split_vanishing_grid(q):
                     continue
                 x = tor.element(a, 1)
                 for flag in (False, True):
-                    rep = verify_matching(q, n, x, flag)
+                    rep = verify_matching(n, x, flag)
                     assert rep.lhs == 0 == rep.rhs
 
 
@@ -107,9 +107,9 @@ def test_field_matching_grid(p):
             for i in range(5):
                 for j in range(5):
                     x = tor.element(1 + p ** i, p ** j)
-                    rep = verify_matching(p, n, x)
+                    rep = verify_matching(n, x)
                     assert rep.equal, (tor.kind, n, i, j)
-                    assert verify_matching(p, n, x, True).equal
+                    assert verify_matching(n, x, True).equal
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -122,7 +122,7 @@ def test_even_level_proof_values(p):
             for i in range(4):
                 for j in range(4):
                     x = tor.element(1 + p ** i, p ** j)
-                    got = matched_value(p, 2 * n, x)
+                    got = matched_value(2 * n, x)
                     ind = x.in_unit_filtration(e * n)
                     want = (Fraction(2, e) * p ** (4 * n)
                             * (1 - Fraction(1, p * p))) if ind else Fraction(0)

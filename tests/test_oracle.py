@@ -204,6 +204,10 @@ def test_coverage_rejects_samples_above_cap():
         coset_coverage_split(OrderKind.M, 2, 3, oracle.ENUM_CAP + 1)
     with pytest.raises(EnumerationTooLarge):
         coset_coverage_nonsplit(OrderKind.J, UNRAMIFIED, 3, 2, oracle.ENUM_CAP + 1)
+    # the split disjointness pass scans 1 006 943 axis points at M = 56, over 2^20 at 57
+    oracle.check_coverage_size(56, 1)
+    with pytest.raises(EnumerationTooLarge):
+        coset_coverage_split(OrderKind.J, 3, 57, 1)
 
 
 def test_coverage_rejects_precision_below_two():
