@@ -44,7 +44,7 @@ class RamifiedLevelData:
 
     ram must have even cardinality >= 2 (unramified at infinity); exponents
     is a finitely supported map prime -> level, which may also assign levels
-    at unramified primes.
+    at unramified primes.  No prime may appear twice in either.
     """
 
     ram: tuple[int, ...]
@@ -53,6 +53,8 @@ class RamifiedLevelData:
     def __post_init__(self):
         ram = tuple(sorted(set(self.ram)))
         exponents = dict(self.exponents)
+        if len(ram) < len(self.ram) or len(exponents) < len(self.exponents):
+            raise ValueError("a prime is repeated in the ramification set or the exponents")
         if len(ram) % 2 or len(ram) < 2:
             raise ValueError("ramification set must have even cardinality >= 2")
         for p in ram:

@@ -7,7 +7,8 @@ the tool version, the effective configuration, the seed, and the
 normalization ledger; output is deterministic for a fixed (config, seed).
 Only coverage, which draws samples, takes --seed; only classes, spectrum and
 report, which write a table, take --format.  The others report seed 0 and
-json.  coverage exits 3 above M = 56 (over 2^20 split axis points).
+json.  coverage exits 3 above M = 56 (over 2^20 split axis points), and
+exits 64 on an explicit --torus for split-M or split-J, which use no torus.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def run_verify_matching(primes, n_max: int) -> dict:
 
 
 def run_coverage(decomposition: str, p: int, M: int, samples: int, seed: int,
-                 torus_kind: str = UNRAMIFIED) -> dict:
+                 torus_kind: str) -> dict:
     kind = OrderKind(decomposition.split("-")[1])
     if decomposition.startswith("split"):
         return coset_coverage_split(kind, p, M, samples, seed).to_dict()
@@ -334,8 +335,8 @@ def build_parser() -> Parser:
     sp.add_argument("--p", type=_one_of(int, (2, 3)), default=2)
     sp.add_argument("--M", type=int, default=3)
     sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--torus", default=UNRAMIFIED,
-                    type=_one_of(str, (UNRAMIFIED, RAMIFIED)))
+    # no default: an explicit --torus is refused where only split cosets run
+    sp.add_argument("--torus", type=_one_of(str, (UNRAMIFIED, RAMIFIED)))
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
 
@@ -448,10 +449,13 @@ def _coverage(args) -> int:
         check_coverage_size(args.M, args.samples)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.torus and args.decomposition.startswith("split"):
+        raise UsageError(f"--torus has no effect on {args.decomposition}")
+    torus = args.torus or UNRAMIFIED
     cfg = _cfg(args, {"decomposition": args.decomposition, "p": args.p,
-                      "M": args.M, "samples": args.samples, "torus": args.torus})
+                      "M": args.M, "samples": args.samples, "torus": torus})
     names = DECOMPOSITIONS if args.decomposition == "all" else [args.decomposition]
-    results = [run_coverage(name, args.p, args.M, args.samples, args.seed, args.torus)
+    results = [run_coverage(name, args.p, args.M, args.samples, args.seed, torus)
                for name in names]
     return _write_json(cfg, results, all(r["ok"] for r in results))
 

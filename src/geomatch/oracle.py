@@ -795,16 +795,16 @@ def _nonsplit_deep_witness(work: PAdicContext, torus: TorusData, kind: OrderKind
 
 
 _NO_INVERSE = "no-inverse"  # nonsplit outcome of a sample with no inverse
+DEEP_WITNESSES = 300  # nonsplit samples, from the first, that also get a conjugating witness
 
 
 def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
-                            samples: int, seed: int = 0,
-                            deep_witnesses: int = 300) -> CoverageReport:
+                            samples: int, seed: int = 0) -> CoverageReport:
     """Sample matrices over Z/p^M and certify the field-torus decomposition.
 
     The classifier is the optimal-embedding level of the conjugated torus,
-    total and single-valued, so assignments are unique by construction; a
-    deterministic subsample additionally gets full conjugating witnesses.
+    total and single-valued, so assignments are unique by construction; the
+    first DEEP_WITNESSES samples additionally get full conjugating witnesses.
     For the Iwahori order over an unramified torus a level-0 assignment is a
     violation (there is no such optimal embedding).
     """
@@ -837,7 +837,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
                                    "entries": entries})
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
-        if idx < deep_witnesses:
+        if idx < DEEP_WITNESSES:
             if _nonsplit_deep_witness(work, torus, kind, MatElt(work, *entries), r):
                 rep.deep_witness_checked += 1
             else:

@@ -18,9 +18,9 @@ from .padic import (
     PrecisionExhausted,
     RegularElement,
     TorusData,
-    RAMIFIED,
     SPLIT,
     UNRAMIFIED,
+    hensel_lift,
     unramified_generator_constant,
 )
 
@@ -428,55 +428,39 @@ class DivisionEmbedding:
 def _solve_unit_norm(model: DivisionModel, target: int) -> tuple[int, int]:
     """(a, b) with N(a + b s) = target (a unit), derivative 2a+b a unit."""
     ctx = model.ctx
-    p, mod, c = ctx.p, ctx.modulus, model.c
-    start = None
-    for a0 in range(p):
-        for b0 in range(p):
-            if (a0 * a0 + a0 * b0 - c * b0 * b0 - target) % p == 0 and (2 * a0 + b0) % p:
-                start = (a0, b0)
-                break
-        if start:
-            break
+    p, c = ctx.p, model.c
+    start = next(((a, b) for a in range(p) for b in range(p)
+                  if (a * a + a * b - c * b * b - target) % p == 0 and (2 * a + b) % p), None)
     if start is None:
         raise RuntimeError("norm equation has no nondegenerate residue solution")
-    a, b = start
-    k = 1
-    while k < ctx.M:
-        k = min(2 * k, ctx.M)
-        m = p ** k
-        f = (a * a + a * b - c * b * b - target) % m
-        a = (a - f * pow(2 * a + b, -1, m)) % m
-    return a % mod, b % mod
+    a0, b = start
+    a = hensel_lift(lambda y: y * y + y * b - c * b * b - target, lambda y: 2 * y + b, a0, ctx)
+    return a, b % ctx.modulus
 
 
 def division_embedding(torus: TorusData, model: DivisionModel) -> DivisionEmbedding:
     """Embed a field torus into the division model.
 
-    Unramified tori share the model's basis, so theta0 maps to s.  Ramified
-    tori map theta0 = uniformizer to T s + w pi_D where N(w) solves the norm
-    equation (N(Ts) - N)/p, a unit by the Eisenstein shape.
+    theta0, a root of X^2 - T X + N, maps to xi = T s + w pi_D: the trace is
+    T since Tr(s) = 1 and Tr(w pi_D) = 0, and the norm N(T s) - p N(w) is N
+    once N(w) = (N(T s) - N)/p.  The unramified torus shares the model's
+    basis, so the defect is 0 and xi = s; for a ramified torus the defect is
+    a unit by the Eisenstein shape, and w solves the unit norm equation.
     """
     ctx = torus.ctx
     if ctx.p != model.ctx.p or ctx.M != model.ctx.M:
         raise ValueError("torus and model contexts must agree")
-    T, N = torus.T % ctx.modulus, torus.N % ctx.modulus
-    if torus.kind == UNRAMIFIED:
-        if T != 1 % ctx.modulus or N != -model.c % ctx.modulus:
-            raise ValueError("unramified torus basis differs from the model basis")
-        xi = model.elt((0, 1), (0, 0))
-    elif torus.kind == RAMIFIED:
-        u = (0, T)  # T * s, trace T since Tr(s) = 1
-        nu_u = model._norm2(u)
-        diff = (nu_u - N) % ctx.modulus
-        if diff % ctx.p != 0:
-            raise AssertionError("norm defect not divisible by p")
-        target = diff // ctx.p % ctx.modulus
-        if not ctx.is_unit(target):
-            raise AssertionError("norm defect is not a unit times p")
-        w = _solve_unit_norm(model, target)
-        xi = model.elt(u, w)
-    else:
+    if torus.kind == SPLIT:
         raise ValueError("split tori do not embed in the division algebra")
+    T, N = torus.T % ctx.modulus, torus.N % ctx.modulus
+    u = (0, T)
+    diff = (model._norm2(u) - N) % ctx.modulus
+    if diff % ctx.p != 0:
+        raise AssertionError("norm defect not divisible by p")
+    target = diff // ctx.p
+    if target and not ctx.is_unit(target):
+        raise AssertionError("norm defect is not a unit times p")
+    xi = model.elt(u, _solve_unit_norm(model, target) if target else (0, 0))
     slack = ctx.p ** (ctx.M - GUARD)
     if xi.trace_int() % slack != T % slack or xi.norm_int() % slack != N % slack:
         raise AssertionError("division embedding failed the char-poly check")

@@ -153,19 +153,23 @@ def is_square(d: int, ctx: PAdicContext) -> bool:
     return pow(u, (ctx.p - 1) // 2, ctx.p) == 1
 
 
+def hensel_lift(f, df, r: int, ctx: PAdicContext) -> int:
+    """Newton-lift a root r of f mod p with df(r) a unit to Z/p^M, doubling the digits per step."""
+    k = 1
+    while k < ctx.M:
+        k = min(2 * k, ctx.M)
+        m = ctx.p ** k
+        r = (r - f(r) * pow(df(r), -1, m)) % m
+    return r % ctx.modulus
+
+
 def sqrt_unit(u: int, ctx: PAdicContext) -> int:
-    """Square root of a unit square in Z/p^M by Hensel lifting."""
+    """Square root of a unit square in Z/p^M: by Newton for odd p, bit by bit for p = 2."""
     p, mod = ctx.p, ctx.modulus
     u %= mod
     if p != 2:
         r = next(y for y in range(p) if y * y % p == u % p)
-        k = 1
-        while k < ctx.M:
-            # Newton step doubles the exponent
-            k = min(2 * k, ctx.M)
-            m = p ** k
-            r = (r - (r * r - u) * pow(2 * r, -1, m)) % m
-        return r % mod
+        return hensel_lift(lambda y: y * y - u, lambda y: 2 * y, r, ctx)
     if u % 8 != 1:
         raise ValueError("2-adic unit square must be 1 mod 8")
     r = 1
@@ -364,61 +368,37 @@ def classify_torus(t: int, p: int, M: int | None = None) -> TorusData:
     disc = t * t - 4
     if is_square(disc, ctx):
         return TorusData(ctx, SPLIT)
+    # a nonsquare of even valuation is unramified unless p = 2 and u = 3, 7 mod 8
     v = integer_valuation(disc, p)
     u = disc // p ** v
-    if v % 2 == 0 and ((p != 2 and pow(u % p, (p - 1) // 2, p) == p - 1)
-                       or (p == 2 and u % 8 == 5)):
-        return _unramified_torus(ctx)
-    if p != 2 or v % 2:
+    if v % 2:
         return _ramified_torus(ctx, u % ctx.modulus)
-    return _ramified_torus_2nonsplit(ctx, u % ctx.modulus)
+    if p == 2 and u % 8 != 5:
+        return _ramified_torus_2nonsplit(ctx, u % ctx.modulus)
+    return _unramified_torus(ctx)
 
 
 def torus_generator(torus: TorusData, t: int) -> RegularElement:
     """Coordinates of the canonical root x of X^2 - t X + 1 in the torus basis.
 
-    sqrt(t^2 - 4) is expressed through the basis generator: 2 theta0 - 1 in
-    the unramified case, theta0 itself (Eisenstein) or theta0 - 1 (2-adic
-    unit-discriminant) in the ramified ones, with a unit square root w fixing
-    the square class.
+    Split tori: x = ((t + y)/2, (t - y)/2) with y = sqrt(t^2 - 4).  Field
+    tori: x = alpha + beta theta0 with theta0 a root of X^2 - T X + N has
+    trace 2 alpha + beta T and discriminant beta^2 (T^2 - 4N), so
+    beta^2 = (t^2 - 4) / (T^2 - 4N) and alpha = (t - beta T)/2, whatever the
+    basis.  The root found may be the Galois conjugate of another choice;
+    orbital integrals do not see the difference.
     """
     ctx = torus.ctx
     p, mod = ctx.p, ctx.modulus
     disc = t * t - 4
     if torus.kind == SPLIT:
         y = sqrt(disc % mod, ctx)
-        a, b = ctx.half((t + y) % mod), ctx.half((t - y) % mod)
-        x = torus.element(a, b)
-    elif torus.kind == UNRAMIFIED:
-        v = integer_valuation(disc, p)
-        s = v // 2
-        u = disc // p ** v
-        c = -torus.N % mod
-        w = sqrt_unit(u * ctx.inv(1 + 4 * c) % mod, ctx)
-        alpha = ctx.half((t - p ** s * w) % mod)
-        beta = p ** s * w % mod
-        x = torus.element(alpha, beta)
+        x = torus.element(ctx.half((t + y) % mod), ctx.half((t - y) % mod))
     else:
-        v = integer_valuation(disc, p)
-        if torus.T % mod == 0:
-            # theta0 = sqrt(m) with m = -N, v(m) = 1, and v(disc) odd
-            s = (v - 1) // 2
-            m_unit = (-torus.N % mod) // p
-            w = sqrt_unit((disc // p ** (2 * s + 1)) * ctx.inv(m_unit) % mod, ctx)
-            alpha = ctx.half(t % mod)
-            if p == 2:
-                beta = 2 ** (s - 1) * w % mod  # s >= 1: even t forces v(disc) >= 3 here
-            else:
-                beta = p ** s * w * ctx.inv(2) % mod
-        else:
-            # p = 2, theta0 = 1 + sqrt(u0), u0 = 1 - N = 3 mod 4, v(disc) even
-            s = v // 2
-            u = disc // 2 ** v
-            u0 = (1 - torus.N) % mod
-            w = sqrt_unit(u * pow(u0, -1, mod) % mod, ctx)
-            alpha = ctx.half((t - 2 ** s * w) % mod)
-            beta = 2 ** (s - 1) * w % mod
-        x = torus.element(alpha, beta)
+        delta = torus.T * torus.T - 4 * torus.N
+        v = ctx.val(delta)
+        beta = sqrt(disc // p ** v * ctx.inv(ctx.reduce(delta) // p ** v) % mod, ctx)
+        x = torus.element(ctx.half((t - beta * torus.T) % mod), beta)
     slack = p ** (ctx.M - GUARD)
     if x.trace() % slack != t % slack or x.norm() % slack != 1 % slack:
         raise AssertionError("generator coordinates failed the char-poly check")

@@ -176,8 +176,7 @@ def test_criterion_4_oracle_agreement():
             cov_summary.append(f"split-{kind.value}@{p}:{sum(rep.r_histogram.values())}")
         for kind in (OrderKind.M, OrderKind.J):
             for torus_kind in (UNRAMIFIED, RAMIFIED):
-                rep = coset_coverage_nonsplit(kind, torus_kind, p, M, 100000,
-                                              seed=2024, deep_witnesses=300)
+                rep = coset_coverage_nonsplit(kind, torus_kind, p, M, 100000, seed=2024)
                 assert rep.ok, rep.violations[:3]
                 assert rep.deep_witness_checked == 300
                 cov_summary.append(

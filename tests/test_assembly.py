@@ -54,6 +54,10 @@ def test_ramified_data_validation():
         RamifiedLevelData((2, 4))
     with pytest.raises(ValueError):
         RamifiedLevelData((2, 3), ((2, -1),))
+    with pytest.raises(ValueError):
+        RamifiedLevelData((2, 3, 3))
+    with pytest.raises(ValueError):
+        RamifiedLevelData((2, 3), ((2, 1), (2, 0)))
 
 
 def test_descriptor_constructions():
@@ -362,8 +366,21 @@ def test_local_factors_at_adversarial_traces(p, k, u, sign, level):
     # t = +-(2 + u p^k) pushes v_p(t^2 - 4) up to k and beyond; every step
     # must finish inside hypothesis' default deadline
     t = sign * (2 + u * p ** k)
-    from geomatch.padic import classify_torus, torus_generator
+    from geomatch.integrals import TestFunctionSpec, orbital
+    from geomatch.padic import SPLIT, classify_torus, default_precision, torus_generator
     torus_generator(classify_torus(t, p), t)
     for kind in (OrderKind.M, OrderKind.J, OrderKind.D):
         local_factor(kind, level, t, p)
     assert matched_local_factor(level, t, p) == local_factor(OrderKind.D, level, t, p)
+    # the canonical root may be either root of X^2 - t X + 1: orbital integrals
+    # agree at x and at its Galois conjugate
+    tor = classify_torus(t, p, default_precision(t, p) + level)
+    x = torus_generator(tor, t)
+    if tor.kind == SPLIT:
+        xbar = tor.element(x.b, x.a)
+    else:
+        xbar = tor.element(x.alpha + x.beta * tor.T, -x.beta)
+    for kind in (OrderKind.M, OrderKind.J, OrderKind.D):
+        for norm_index in (False, True):
+            spec = TestFunctionSpec(kind, level, norm_index)
+            assert orbital(spec, x) == orbital(spec, xbar), (kind, norm_index)

@@ -34,6 +34,9 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["coverage", "--M", "0"]) == EXIT_USAGE
     assert main(["coverage", "--M", "1"]) == EXIT_USAGE
     assert main(["relation", "--ramified", "2,3", "--exponents", "2=-1"]) == EXIT_USAGE
+    # a repeated prime is refused, not merged behind an echo of the raw input
+    assert main(["relation", "--ramified", "2,3,3"]) == EXIT_USAGE
+    assert main(["relation", "--ramified", "2,3", "--exponents", "2=1,2=0"]) == EXIT_USAGE
     # inputs that would certify or count nothing
     assert main(["coverage", "--samples", "0", "--M", "2"]) == EXIT_USAGE
     assert main(["coverage", "--samples", "-5"]) == EXIT_USAGE
@@ -91,6 +94,22 @@ def test_config_values_obey_flag_rules(tmp_path, capsys):
                           ("relation", "x_max=nan"), ("verify-matching", "primes=7")):
         conf.write_text(line + "\n")
         assert main([command, "--config", str(conf)]) == EXIT_USAGE, line
+
+
+def test_coverage_torus_only_where_a_torus_is_sampled(tmp_path, capsys):
+    conf = tmp_path / "t.conf"
+    conf.write_text("torus=ramified-field\n")
+    for name in ("split-M", "split-J"):
+        base = ["coverage", "--decomposition", name, "--M", "2", "--samples", "5"]
+        assert main(base + ["--torus", "unramified-field"]) == EXIT_USAGE, name
+        assert main(base + ["--config", str(conf)]) == EXIT_USAGE, name
+        out = tmp_path / f"{name}.json"
+        assert main(base + ["--out", str(out)]) == EXIT_OK, name
+        assert json.loads(out.read_text())["config"]["torus"] == "unramified-field"
+    out = tmp_path / "nonsplit.json"
+    assert main(["coverage", "--decomposition", "nonsplit-M", "--M", "2", "--samples", "5",
+                 "--config", str(conf), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["torus"] == "ramified-field"
 
 
 def test_precision_exit(capsys):

@@ -190,11 +190,9 @@ def test_coverage_smoke():
     assert rep.ok and rep.r_histogram.get(1)
     rep = coset_coverage_split(OrderKind.J, 3, 2, 800, seed=3)
     assert rep.ok and rep.odd_component_hits > 0
-    rep = coset_coverage_nonsplit(OrderKind.M, UNRAMIFIED, 2, 3, 300, seed=3,
-                                  deep_witnesses=60)
-    assert rep.ok and rep.deep_witness_checked == 60
-    rep = coset_coverage_nonsplit(OrderKind.J, RAMIFIED, 3, 2, 300, seed=3,
-                                  deep_witnesses=60)
+    rep = coset_coverage_nonsplit(OrderKind.M, UNRAMIFIED, 2, 3, 300, seed=3)
+    assert rep.ok and rep.deep_witness_checked == 300
+    rep = coset_coverage_nonsplit(OrderKind.J, RAMIFIED, 3, 2, 300, seed=3)
     assert rep.ok and 0 in rep.r_histogram  # ramified tori do reach level 0
 
 
@@ -258,7 +256,7 @@ def _fresh_split(kind, p, M, samples, seed):
     return rep
 
 
-def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed, deep_witnesses):
+def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed):
     """coset_coverage_nonsplit as a loop that draws and classifies every sample afresh."""
     rep = oracle.CoverageReport(f"nonsplit-{kind.value}", p, M, samples, seed)
     work = PAdicContext(p, 6 * (M + 3))
@@ -284,7 +282,7 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed, deep_witnesses):
                                    "entries": g.entries})
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
-        if idx < deep_witnesses:
+        if idx < oracle.DEEP_WITNESSES:
             if oracle._nonsplit_deep_witness(work, torus, kind, g, r):
                 rep.deep_witness_checked += 1
             else:
@@ -295,10 +293,9 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed, deep_witnesses):
 
 def _four_decompositions(coverage_split, coverage_nonsplit, torus_kind, p, M,
                          samples, seed):
-    deep = samples // 3
     return [coverage_split(kind, p, M, samples, seed).to_dict()
             for kind in (OrderKind.M, OrderKind.J)] + \
-        [coverage_nonsplit(kind, torus_kind, p, M, samples, seed, deep).to_dict()
+        [coverage_nonsplit(kind, torus_kind, p, M, samples, seed).to_dict()
          for kind in (OrderKind.M, OrderKind.J)]
 
 
