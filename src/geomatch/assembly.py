@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesics import MAX_SPLITTING_LEVEL, dpsi_enumerated, signed_traces, trace_bound
+from .geodesics import (
+    MAX_SPLITTING_LEVEL, c_factor, dpsi_enumerated, signed_traces, trace_bound,
+)
 from .integrals import matching_combination, orbital, TestFunctionSpec
 from .orders import (
     DivisionModel,
@@ -231,7 +233,7 @@ def extract_global_constant(t: int) -> float:
     base = dpsi_enumerated(1, t)
     if base <= 0:
         raise AssertionError("full-level dpsi must be positive for |t| > 2")
-    return 0.5 * base  # c = 1/2: -1 lies in Gamma(1)
+    return float(c_factor(1)) * base
 
 
 def predict_dpsi(desc: GroupDescriptor, t: int) -> float:

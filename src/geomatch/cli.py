@@ -9,6 +9,7 @@ Only coverage, which draws samples, takes --seed; only classes, spectrum and
 report, which write a table, take --format.  The others report seed 0 and
 json.  coverage exits 3 above M = 56 (over 2^20 split axis points), and
 exits 64 on an explicit --torus for split-M or split-J, which use no torus.
+spectrum and report exit 3 on a grid of more than 2^20 x values.
 """
 
 from __future__ import annotations
@@ -514,15 +515,16 @@ COMMANDS = {
 }
 
 
-def _geometric_grid(x_max: float, count: int) -> list[float]:
+def _geometric_grid(x_max: float, count: int):
+    """count points from 10 to x_max in geometric progression, yielded lazily."""
     if count < 2:
         return [x_max]
     lo, hi = 10.0, float(x_max)
     ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio ** k for k in range(count)]
+    return (lo * ratio ** k for k in range(count))
 
 
-def _pgt_table(args, params: dict, xs: list[float]) -> int:
+def _pgt_table(args, params: dict, xs) -> int:
     """The counting-function table of spectrum and report, one row per x."""
     cfg = _cfg(args, params)
     header = ["x", "psi", "psi_minus_x", "x_pow_7_10", "pi", "li_x", "pi_minus_li"]

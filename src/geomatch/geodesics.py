@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
-from .padic import EnumerationTooLarge, NonHyperbolicTrace, factorize
+from .padic import ENUM_CAP, EnumerationTooLarge, NonHyperbolicTrace, factorize
 
 MAX_SPLITTING_LEVEL = 6
 MAX_TRACE = 3162  # trace_bound(1e7): every count reaches x = 1e7
@@ -195,7 +196,7 @@ class QuadFormClass:
 
     content scales a primitive canonical form; gamma is an integral trace-t
     representative, gamma0 the fundamental automorph generating its
-    centralizer mod sign, with gamma = sign * gamma0^(±k).
+    centralizer mod sign, with gamma = sign(t) * gamma0^(±power).
     """
 
     t: int
@@ -204,8 +205,6 @@ class QuadFormClass:
     gamma: tuple[int, int, int, int]
     pell: PellUnit
     power: int
-    sign: int
-    inverse: bool
 
     @property
     def gamma0(self) -> tuple[int, int, int, int]:
@@ -249,7 +248,7 @@ def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
         cur = pell.power(k)
     if cur != target:
         raise AssertionError("class element is not a power of the fundamental unit")
-    cls = QuadFormClass(t, m, form, gamma, pell, k, 1 if t > 0 else -1, t < 0)
+    cls = QuadFormClass(t, m, form, gamma, pell, k)
     g0 = cls.gamma0
     if t > 0:
         ok = _mat_pow(g0, k) == gamma
@@ -523,8 +522,14 @@ class PgtRow:
 
 
 def pgt_report(N: int, xs) -> list[PgtRow]:
-    """Counting-function table over a grid of x values, in the given order."""
-    xs = list(xs)
+    """Counting-function table over a grid of x values, in the given order.
+
+    Raises EnumerationTooLarge, reading at most one point past the cap, when
+    the grid (any iterable) has more than ENUM_CAP points.
+    """
+    xs = list(islice(xs, ENUM_CAP + 1))
+    if len(xs) > ENUM_CAP:
+        raise EnumerationTooLarge(f"x grid of more than {ENUM_CAP} points")
     rows = []
     for x, (psi, piv) in zip(xs, _counts(N, xs)):
         lix = li(float(x))

@@ -48,19 +48,12 @@ def _geometric_power_sum(q: int, rmax: int) -> int:
     return (q ** (rmax + 1) - q) // (q - 1)
 
 
-def _in_unit_level(x: RegularElement, value: int, n: int) -> bool:
-    """value in U_o^n, for a unit value of o."""
-    if n <= 0:
-        return x.ctx.is_unit(value)
-    return x.ctx.is_unit(value) and x.ctx.val_at_least(value - 1, n)
-
-
 def _split_f(x: RegularElement, n: int) -> Fraction:
     """Orbital integral of f_n at a split regular pair (a, b).
 
     1_{U^n}(a) 1_{U^n}(b) / |a-b| times 1 (n = 0) or q^(3n-3)(q-1)^2(q+1).
     """
-    if not (_in_unit_level(x, x.a, n) and _in_unit_level(x, x.b, n)):
+    if not x.in_unit_filtration(n):
         return Fraction(0)
     q = x.ctx.q
     const = 1 if n == 0 else q ** (3 * n - 3) * (q - 1) ** 2 * (q + 1)
@@ -74,7 +67,7 @@ def _split_g(x: RegularElement, n: int) -> Fraction:
     1 (n = 0) or q^(n + ceil(n/2) - 2) (q-1)^2.
     """
     k = (n + 1) // 2
-    if not (_in_unit_level(x, x.a, k) and _in_unit_level(x, x.b, k)):
+    if not x.in_unit_filtration(k):
         return Fraction(0)
     q = x.ctx.q
     const = 1 if n == 0 else q ** (n + k - 2) * (q - 1) ** 2

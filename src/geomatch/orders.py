@@ -121,22 +121,19 @@ def pi_matrix_inv(ctx: PAdicContext) -> MatElt:
     return MatElt(ctx, 0, 1, ctx.p % ctx.modulus, 0, den=1)
 
 
-# staircase lower bounds for the radical powers, as functions of n
+# staircase lower bounds for the matrix radical powers, as functions of n >= 0
 def _radical_bounds(kind: OrderKind, n: int) -> tuple[int, int, int, int]:
     if kind is OrderKind.M:
         return (n, n, n, n)
-    if kind is OrderKind.J:
-        k, odd = divmod(n, 2)
-        if odd:
-            return (k + 1, k, k + 1, k + 1)
-        return (k, k, k + 1, k)
-    raise ValueError("matrix staircase asked for the division order")
+    k, odd = divmod(n, 2)
+    if odd:
+        return (k + 1, k, k + 1, k + 1)
+    return (k, k, k + 1, k)
 
 
 def radical_power_membership(kind: OrderKind, x, n: int) -> bool:
-    """Whether x lies in the n-th power of the Jacobson radical."""
-    if n <= 0:
-        return order_membership(kind, x)
+    """Whether x lies in the n-th power of the Jacobson radical (the order for n <= 0)."""
+    n = max(n, 0)
     if kind is OrderKind.D:
         return x.vd_at_least(n)
     b = _radical_bounds(kind, n)
@@ -145,26 +142,16 @@ def radical_power_membership(kind: OrderKind, x, n: int) -> bool:
 
 def order_membership(kind: OrderKind, x) -> bool:
     """Whether x lies in the order itself (radical power 0)."""
-    if kind is OrderKind.D:
-        return x.vd_at_least(0)
-    b = (0, 0, 1, 0) if kind is OrderKind.J else (0, 0, 0, 0)
-    return all(x.ctx.val_at_least(e, t + x.den) for e, t in zip(x.entries, b))
+    return radical_power_membership(kind, x, 0)
 
 
 def is_order_unit(kind: OrderKind, x) -> bool:
     """Whether x is a unit of the order: integral with unit reduced norm."""
-    ctx = x.ctx
-    if kind is OrderKind.D:
-        if not x.vd_at_least(0):
-            return False
-        s = ctx.p ** (2 * x.den)
-        nu = x.norm_int()
-        return nu % s == 0 and ctx.is_unit(nu // s)
     if not order_membership(kind, x):
         return False
-    s = ctx.p ** (2 * x.den)
-    d = x.det_int()
-    return d % s == 0 and ctx.is_unit(d // s)
+    nu = x.norm_int() if kind is OrderKind.D else x.det_int()
+    s = x.ctx.p ** (2 * x.den)
+    return nu % s == 0 and x.ctx.is_unit(nu // s)
 
 
 def congruence_subgroup_membership(kind: OrderKind, x, n: int) -> bool:

@@ -294,25 +294,20 @@ class RegularElement:
         return self.ctx.reduce(2 * self.alpha + self.beta * self.torus.T)
 
     def is_unit(self) -> bool:
-        """Whether x lies in O_E^x (split: o^x + o^x, automatic here)."""
-        if self.torus.kind == SPLIT:
-            return True
-        if self.torus.kind == RAMIFIED:
-            return self.ctx.is_unit(self.alpha)
-        return self.ctx.is_unit(self.alpha) or self.ctx.is_unit(self.beta)
+        """Whether x lies in O_E^x: N(x) is a unit (= alpha^2 mod p on Eisenstein bases)."""
+        return self.ctx.is_unit(self.norm())
 
     def in_unit_filtration(self, n: int) -> bool:
-        """Whether x lies in U_E^n = (1 + P_E^n) cap O_E^x."""
-        if self.torus.kind == SPLIT:
-            raise ValueError("unit filtration of E is for field tori")
+        """Whether x lies in U_E^n = (1 + P_E^n) cap O_E^x.
+
+        Split: v(a - 1), v(b - 1) >= n.  Field: theta0 is a unit (e = 1) or a
+        uniformizer (e = 2), so v_E(x - 1) = min(e v(alpha - 1), e v(beta) + e - 1).
+        """
         if n <= 0:
             return self.is_unit()
-        ctx = self.torus.ctx
-        am1, be = self.alpha - 1, self.beta
-        if self.torus.kind == UNRAMIFIED:
-            return ctx.val_at_least(am1, n) and ctx.val_at_least(be, n)
-        # ramified: v_E(x-1) = min(2 v(alpha-1), 2 v(beta) + 1)
-        return ctx.val_at_least(am1, (n + 1) // 2) and ctx.val_at_least(be, n // 2)
+        one = 1 if self.torus.kind == SPLIT else 0  # second coordinate of the identity
+        ctx, e, (c0, c1) = self.ctx, self.torus.e, self.coords
+        return ctx.val_at_least(c0 - 1, -(-n // e)) and ctx.val_at_least(c1 - one, n // e)
 
 
 def split_torus(p: int, M: int) -> TorusData:

@@ -13,6 +13,7 @@ from geomatch.cli import (
     build_parser,
     main,
 )
+from geomatch.padic import ENUM_CAP
 
 
 def run(argv, capsys):
@@ -70,10 +71,14 @@ def test_usage_errors(tmp_path, capsys):
                  ["coverage", "--M", "64"], ["coverage", "--M", "1000"],
                  # 2^18 Eichler groups times 16 traces exceed ENUM_CAP
                  ["relation", "--x-max", "100", "--ramified",
-                  "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"]):
+                  "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"],
+                 # a grid above ENUM_CAP points fails before it is built
+                 ["spectrum", "--x-count", "100000000"]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv
+    # an explicit grid one point above ENUM_CAP; parsing it alone takes ~0.6 s
+    assert main(["report", "--x-grid", ",".join(["100"] * (ENUM_CAP + 1))]) == EXIT_TOO_LARGE
 
 
 def test_readme_commands_parse():

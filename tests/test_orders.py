@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from geomatch.orders import (
     DivisionModel,
@@ -22,10 +22,13 @@ from geomatch.orders import (
 )
 from geomatch.padic import (
     PAdicContext,
+    PrecisionExhausted,
     RAMIFIED,
+    SPLIT,
     UNRAMIFIED,
     ramified_torus,
     ramified_torus_2nonsplit,
+    split_torus,
     unramified_torus,
 )
 
@@ -208,3 +211,36 @@ def test_order_membership_denominators():
     assert order_membership(OrderKind.M, x)
     y = MatElt(ctx, 2, 1, 8, 4, den=1)  # upper right 1/2: not integral
     assert not order_membership(OrderKind.M, y)
+
+
+TORI = (split_torus, unramified_torus, ramified_torus,
+        lambda p, M: ramified_torus_2nonsplit(M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), which=st.integers(0, len(TORI) - 1),
+       i=st.integers(0, 8), s=st.integers(0, 30), j=st.integers(0, 8), w=st.integers(1, 30))
+def test_torus_filtration_is_embedded_congruence_level(p, which, i, s, j, w):
+    """U_E^n is the order-side congruence level of the embedded element.
+
+    Split tori: diag(a, b) in M2(o) at level n.  Field tori: the division
+    embedding at level (2/e) n, since v_D restricted to E is (2/e) v_E.
+    """
+    assume(which < 3 or p == 2)
+    torus = TORI[which](p, 20)
+    a = 1 + s * p ** i
+    try:
+        if torus.kind == SPLIT:
+            b = 1 + w * p ** j
+            assume(a % p and b % p)
+            x = torus.element(a, b)
+            kind, scale, image = OrderKind.M, 1, MatElt(torus.ctx, x.a, 0, 0, x.b)
+        else:
+            x = torus.element(a, w * p ** j)
+            kind, scale = OrderKind.D, 2 // torus.e
+            image = division_embedding(torus, DivisionModel(torus.ctx)).of(x)
+        for n in range(7):
+            assert x.in_unit_filtration(n) == \
+                congruence_subgroup_membership(kind, image, scale * n), n
+    except PrecisionExhausted:
+        reject()
