@@ -8,6 +8,12 @@ every group is predicted as c_1 dpsi_1(t) of Gamma(1), extracted from
 enumeration (never from class-number data), times the ratio of its local
 factors to Gamma(1)'s at its own primes, where all the others agree.  The
 quaternion side's dpsi is defined through the matched combination.
+
+A local factor reads the trace only through its local type at p
+(padic.local_type: the torus kind and v_p(t - 2), v_p(t + 2)), so factors
+and their exact ratios to Gamma(1)'s are cached per (kind, level, local
+type), and one canonical element is built per key, at the first trace of
+that type met.
 """
 
 from __future__ import annotations
@@ -30,12 +36,14 @@ from .orders import (
 from .padic import (
     ENUM_CAP,
     EnumerationTooLarge,
+    LocalType,
     PAdicContext,
     PrecisionExhausted,
     classify_torus,
     default_precision,
     factorize,
     is_prime,
+    local_type,
     torus_generator,
 )
 
@@ -177,15 +185,16 @@ def group_c_factor(desc: GroupDescriptor) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
-    """Normalized local orbital integral at the canonical trace-t element.
+def local_factor(kind: OrderKind, level: int, lt: LocalType) -> Fraction:
+    """Normalized local orbital integral at the canonical element of local type lt.
 
-    Includes the norm-index prefactor; returns an exact rational.  The
-    element is built at precision default_precision(t, p) + level, which is
-    doubled after each PrecisionExhausted, six tries in all.
+    Includes the norm-index prefactor; returns an exact rational.  The value
+    depends on the trace only through its local type (padic.local_type), so
+    the element is built once per key, at the representative trace lt.t, at
+    precision default_precision(lt.t, lt.p) + level, which is doubled after
+    each PrecisionExhausted, six tries in all.
     """
-    if abs(t) <= 2:
-        raise ValueError("hyperbolic traces only")
+    t, p = lt.t, lt.p
     spec = TestFunctionSpec(kind, level, include_norm_index=True)
     M = default_precision(t, p) + level
     for _ in range(6):
@@ -200,8 +209,18 @@ def local_factor(kind: OrderKind, level: int, t: int, p: int) -> Fraction:
 def matched_local_factor(level: int, t: int, p: int) -> Fraction:
     """a_p O(f) + b_p O(g) at the canonical trace-t element (norm-indexed)."""
     combo = matching_combination(p, level)
-    return (combo.coeff_f * local_factor(OrderKind.M, combo.f_level, t, p)
-            + combo.coeff_g * local_factor(OrderKind.J, combo.g_level, t, p))
+    lt = local_type(t, p)
+    return (combo.coeff_f * local_factor(OrderKind.M, combo.f_level, lt)
+            + combo.coeff_g * local_factor(OrderKind.J, combo.g_level, lt))
+
+
+@lru_cache(maxsize=None)
+def local_ratio(kind: OrderKind, level: int, lt: LocalType) -> Fraction:
+    """local_factor(kind, level, lt) over Gamma(1)'s factor at the same type, exactly."""
+    full = local_factor(OrderKind.M, 0, lt)
+    if full <= 0:
+        raise AssertionError("full-level local factor must be positive")
+    return local_factor(kind, level, lt) / full
 
 
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:
@@ -216,7 +235,7 @@ def local_product(desc: GroupDescriptor, t: int) -> Fraction:
     val = Fraction(1)
     for p in factor_support(desc, t):
         kind, level = desc.local_entry(p)
-        val *= local_factor(kind, level, t, p)
+        val *= local_factor(kind, level, local_type(t, p))
         if val == 0:
             return val
     return val
@@ -241,14 +260,11 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
 
     c dpsi / (c_1 dpsi_1) is local_product(desc) / local_product(Gamma(1)),
     whose factors agree away from the descriptor's own primes, so only those
-    enter the ratio.
+    enter the ratio; each prime's exact ratio is cached per local type.
     """
     ratio = Fraction(1)
     for p, kind, level in desc.entries:
-        full = local_factor(OrderKind.M, 0, t, p)
-        if full <= 0:
-            raise AssertionError("full-level local factor must be positive")
-        ratio *= local_factor(kind, level, t, p) / full
+        ratio *= local_ratio(kind, level, local_type(t, p))
         if ratio == 0:
             return 0.0
     return extract_global_constant(t) * float(ratio) / float(group_c_factor(desc))
@@ -329,7 +345,7 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
             matched *= matched_local_factor(data.exponent(p), t, p)
         else:
             kind, level = qdesc.local_entry(p)
-            matched *= local_factor(kind, level, t, p)
+            matched *= local_factor(kind, level, local_type(t, p))
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
     return DpsiRelationReport(t, dpsi_q, terms, exact_ok, matching_ok)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .orders import OrderKind, norm_image_level
 from .padic import (
@@ -179,6 +180,7 @@ class MatchingCombination:
                 == norm_image_level(OrderKind.D, self.n))
 
 
+@lru_cache(maxsize=None)
 def matching_combination(q: int, n: int) -> MatchingCombination:
     """The matched matrix-side combination at level n.
 

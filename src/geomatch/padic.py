@@ -10,8 +10,8 @@ arithmetic plus Hensel lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 GUARD = 2
 ENUM_CAP = 2 ** 20  # the most items any exhaustive enumeration may produce
@@ -145,12 +145,16 @@ def is_square(d: int, ctx: PAdicContext) -> bool:
     v = ctx.val(d)
     if v % 2:
         return False
-    u = ctx.reduce(d) // ctx.p ** v
-    if ctx.p == 2:
-        if ctx.M - v < 3:
-            raise PrecisionExhausted(f"2-adic square test needs M - v >= 3, not {ctx.M - v}")
+    if ctx.p == 2 and ctx.M - v < 3:
+        raise PrecisionExhausted(f"2-adic square test needs M - v >= 3, not {ctx.M - v}")
+    return _is_unit_square(ctx.reduce(d) // ctx.p ** v, ctx.p)
+
+
+def _is_unit_square(u: int, p: int) -> bool:
+    """Whether the unit u is a square in Z_p: u = 1 mod 8 for p = 2, Euler's criterion else."""
+    if p == 2:
         return u % 8 == 1
-    return pow(u, (ctx.p - 1) // 2, ctx.p) == 1
+    return pow(u, (p - 1) // 2, p) == 1
 
 
 def hensel_lift(f, df, r: int, ctx: PAdicContext) -> int:
@@ -371,6 +375,73 @@ def classify_torus(t: int, p: int, M: int | None = None) -> TorusData:
     if p == 2 and u % 8 != 5:
         return _ramified_torus_2nonsplit(ctx, u % ctx.modulus)
     return _unramified_torus(ctx)
+
+
+@dataclass(frozen=True, slots=True)
+class LocalType:
+    """What the local factors of a hyperbolic trace t at p depend on.
+
+    The torus kind of Q_p[X]/(X^2 - t X + 1) and the valuations v_p(t - 2),
+    v_p(t + 2); see local_type.  t rides along as a representative trace and
+    takes no part in equality or hashing, so two traces of one type make
+    one cache key.
+    """
+
+    p: int
+    torus: str
+    v_minus: int  # v_p(t - 2)
+    v_plus: int  # v_p(t + 2)
+    t: int = field(compare=False)
+
+
+@lru_cache(maxsize=None)
+def local_type(t: int, p: int) -> LocalType:
+    """The local type of the hyperbolic trace t at p, by integer arithmetic only.
+
+    t^2 - 4 = (t - 2)(t + 2) has valuation v = v(t - 2) + v(t + 2) and unit
+    part u.  The torus is split when v is even and u a square, ramified when
+    v is odd or p = 2 and u = 3 mod 4, and unramified otherwise, as in
+    classify_torus.
+
+    Every normalized local factor at t (integrals.orbital at the canonical
+    root x of X^2 - t X + 1) is a function of the type.  The closed forms
+    read q = p, the torus kind (so e, and f = 2/e on field tori), and the
+    invariants below, each fixed by v(t - 2) and v(t + 2):
+
+    * Split, x = (a, b).  ab = 1 and a + b = t give (a - 1)(b - 1) = 2 - t
+      and (a - b)^2 = t^2 - 4, so val_gap = v(a - b) = v/2.  If v(a - 1) and
+      v(b - 1) differ, their minimum is v((a - 1) - (b - 1)) = v/2; if they
+      agree, both are v(t - 2)/2 <= v/2.  So min(v(a - 1), v(b - 1)) =
+      min(v(t - 2)/2, v/2), which is all in_unit_filtration reads.
+    * Field, x = alpha + beta theta0.  x - 1 and its conjugate have the same
+      E-valuation and product N(x - 1) = 2 - t, so v_E(x - 1) = v(t - 2)/f,
+      which is all in_unit_filtration reads.  torus_generator solves
+      beta^2 (T^2 - 4N) = t^2 - 4, so conductor() = v(beta) =
+      (v - v(T^2 - 4N))/2, where v(T^2 - 4N) is 0 on unramified tori, 1 on
+      ramified ones at odd p, and 3 or 2 at p = 2 as v is odd or even.
+    * Level-n forms on field tori also test v(alpha - 1) >= m directly
+      (m = n for f_n, m = ceil(n/2) for g_n), but the terms they keep vanish
+      unless v(beta) >= m, so the value does not depend on v(alpha - 1) when
+      v(beta) < m.  When v(beta) >= m, e v(beta) + e - 1 >= e m and
+      v_E(x - 1) = min(e v(alpha - 1), e v(beta) + e - 1), so the test is
+      v_E(x - 1) >= e m, that is v(t - 2) >= e f m = 2m.
+    * is_unit reads N(x) = 1.
+
+    default_precision(t, p) reads only v(t - 2) and v(t + 2), so it is a
+    function of the type as well.
+    """
+    if abs(t) <= 2:
+        raise NonHyperbolicTrace(f"|t| = {abs(t)} <= 2")
+    v_minus, v_plus = integer_valuation(t - 2, p), integer_valuation(t + 2, p)
+    v = v_minus + v_plus
+    u = (t * t - 4) // p ** v
+    if v % 2 or (p == 2 and u % 4 == 3):
+        torus = RAMIFIED
+    elif _is_unit_square(u, p):
+        torus = SPLIT
+    else:
+        torus = UNRAMIFIED
+    return LocalType(p, torus, v_minus, v_plus, t)
 
 
 def torus_generator(torus: TorusData, t: int) -> RegularElement:

@@ -21,6 +21,7 @@ from geomatch.assembly import (
 )
 from geomatch.geodesics import dpsi_enumerated, psi_enumerated, trace_bound
 from geomatch.orders import OrderKind
+from geomatch.padic import local_type
 
 
 def test_subset_coefficients_examples():
@@ -95,7 +96,7 @@ def test_local_factor_tail_is_one():
         for p in (7, 11, 13, 17):
             if (t * t - 4) % p == 0:
                 continue
-            assert local_factor(OrderKind.M, 0, t, p) == 1
+            assert local_factor(OrderKind.M, 0, local_type(t, p)) == 1
 
 
 def test_predict_matches_enumeration():
@@ -175,13 +176,13 @@ def test_dpsi_value_modes():
 def test_local_factor_examples():
     # conductor-0 full-level factor is 1; a level-1 factor vanishes exactly
     # when the generator misses U^1; split Iwahori level 0 is the g_0 value
-    assert local_factor(OrderKind.M, 0, 3, 7) == 1
-    assert local_factor(OrderKind.M, 1, 3, 5) == 0
+    assert local_factor(OrderKind.M, 0, local_type(3, 7)) == 1
+    assert local_factor(OrderKind.M, 1, local_type(3, 5)) == 0
     from geomatch.integrals import TestFunctionSpec, orbital
     from geomatch.padic import classify_torus, torus_generator
     tor = classify_torus(3, 11)
     x = torus_generator(tor, 3)
-    assert local_factor(OrderKind.J, 0, 3, 11) == \
+    assert local_factor(OrderKind.J, 0, local_type(3, 11)) == \
         orbital(TestFunctionSpec(OrderKind.J, 0, True), x) == 2
 
 
@@ -298,19 +299,24 @@ def test_psi_relation_per_trace_matches_dpsi_relation(data):
         assert [term.subset for term in one.terms] == [term.subset for term in rep.terms]
 
 
-def _matched_at_canonical_element(level, t, p):
-    """matched_value at the canonical trace-t element, retried as local factors are."""
-    from geomatch.integrals import matched_value
+def _at_canonical_element(value, level, t, p):
+    """value(x) at a fresh canonical trace-t element, retried as local factors are."""
     from geomatch.padic import (PrecisionExhausted, classify_torus, default_precision,
                                 torus_generator)
     M = default_precision(t, p) + level
     for _ in range(6):
         try:
-            x = torus_generator(classify_torus(t, p, M), t)
-            return matched_value(level, x, include_norm_index=True)
+            return value(torus_generator(classify_torus(t, p, M), t))
         except PrecisionExhausted:
             M *= 2
-    raise PrecisionExhausted(f"matched factor at p={p}, t={t} needs more than M={M}")
+    raise PrecisionExhausted(f"factor at p={p}, t={t} needs more than M={M}")
+
+
+def _matched_at_canonical_element(level, t, p):
+    """matched_value at the canonical trace-t element."""
+    from geomatch.integrals import matched_value
+    return _at_canonical_element(
+        lambda x: matched_value(level, x, include_norm_index=True), level, t, p)
 
 
 def test_matched_local_factor_equals_matched_value_and_division_factor():
@@ -323,7 +329,7 @@ def test_matched_local_factor_equals_matched_value_and_division_factor():
                 for t in (at, -at):
                     got = matched_local_factor(n, t, p)
                     assert got == _matched_at_canonical_element(n, t, p), (p, n, t)
-                    assert got == local_factor(OrderKind.D, n, t, p), (p, n, t)
+                    assert got == local_factor(OrderKind.D, n, local_type(t, p)), (p, n, t)
 
 
 def _ratio_descriptors():
@@ -348,7 +354,8 @@ def test_predict_is_gamma1_times_ratio_over_own_primes():
             for t in (at, -at):
                 ratio = Fraction(1)
                 for p, kind, level in desc.entries:
-                    ratio *= local_factor(kind, level, t, p) / local_factor(OrderKind.M, 0, t, p)
+                    lt = local_type(t, p)
+                    ratio *= local_factor(kind, level, lt) / local_factor(OrderKind.M, 0, lt)
                 prod = local_product(desc, t)
                 assert local_product(gamma1, t) * ratio == prod, (desc, t)
                 full = 0.0 if prod == 0 else (
@@ -370,8 +377,8 @@ def test_local_factors_at_adversarial_traces(p, k, u, sign, level):
     from geomatch.padic import SPLIT, classify_torus, default_precision, torus_generator
     torus_generator(classify_torus(t, p), t)
     for kind in (OrderKind.M, OrderKind.J, OrderKind.D):
-        local_factor(kind, level, t, p)
-    assert matched_local_factor(level, t, p) == local_factor(OrderKind.D, level, t, p)
+        local_factor(kind, level, local_type(t, p))
+    assert matched_local_factor(level, t, p) == local_factor(OrderKind.D, level, local_type(t, p))
     # the canonical root may be either root of X^2 - t X + 1: orbital integrals
     # agree at x and at its Galois conjugate
     tor = classify_torus(t, p, default_precision(t, p) + level)
@@ -384,3 +391,92 @@ def test_local_factors_at_adversarial_traces(p, k, u, sign, level):
         for norm_index in (False, True):
             spec = TestFunctionSpec(kind, level, norm_index)
             assert orbital(spec, x) == orbital(spec, xbar), (kind, norm_index)
+
+
+KINDS = (OrderKind.M, OrderKind.J, OrderKind.D)
+
+
+def _factors_at_own_element(level, t, p):
+    """The norm-indexed M, J and D orbitals at a fresh canonical trace-t element."""
+    from geomatch.integrals import TestFunctionSpec, orbital
+    return _at_canonical_element(
+        lambda x: [orbital(TestFunctionSpec(kind, level, True), x) for kind in KINDS],
+        level, t, p)
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), k=st.integers(0, 20),
+       u=st.integers(1, 10 ** 4), sign=st.sampled_from([1, -1]),
+       w=st.integers(1, 10 ** 3))
+def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, sign, w):
+    # t2 agrees with t modulo p^(v(t^2 - 4) + 3), so it has the same valuations
+    # and the same square class of the unit part of t^2 - 4: one local type.
+    # The factor cached for the type must be the orbital at each trace's own
+    # element, whichever trace of the type fills the cache first.
+    from geomatch.assembly import local_ratio
+    from geomatch.padic import classify_torus
+    t = sign * (2 + u * p ** k)
+    lt = local_type(t, p)
+    t2 = t + sign * w * p ** (lt.v_minus + lt.v_plus + 3)
+    assert local_type(t2, p) == lt and local_type(t2, p).t == t2
+    assert lt.torus == classify_torus(t, p).kind
+    own = [_factors_at_own_element(level, t, p) for level in range(5)]
+    assert own == [_factors_at_own_element(level, t2, p) for level in range(5)]
+    for first, second in ((t, t2), (t2, t)):
+        local_factor.cache_clear()
+        local_ratio.cache_clear()
+        for trace in (first, second):
+            keyed = [[local_factor(kind, level, local_type(trace, p)) for kind in KINDS]
+                     for level in range(5)]
+            assert keyed == own, (first, trace)
+
+
+def test_keyed_local_factors_agree_with_own_elements_over_a_trace_grid():
+    # with the cache warm across the whole grid, every trace reads the factor
+    # cached for its type, mostly built at another trace of that type
+    for p in (2, 3, 5, 7, 11, 13):
+        traces = {s * a for a in range(3, 121) for s in (1, -1)}
+        traces.update(s * (2 + u * p ** k) for s in (1, -1)
+                      for u in range(1, 5) for k in range(1, 13))
+        for t in sorted(traces, key=abs):
+            lt = local_type(t, p)
+            for level in range(5):
+                keyed = [local_factor(kind, level, lt) for kind in KINDS]
+                assert keyed == _factors_at_own_element(level, t, p), (p, t, level)
+
+
+# the relation benchmark's pool: (ramified primes, exponents), all at x = 2e4
+RELATION_POOL = (
+    ((2, 3), ()), ((2, 3), ((2, 1),)), ((2, 3), ((3, 1),)), ((2, 3), ((2, 1), (3, 1))),
+    ((2, 3), ((2, 2),)), ((2, 11), ((2, 3),)), ((2, 5), ((5, 1),)), ((3, 7), ((3, 1),)),
+    ((3, 13), ((3, 2),)), ((5, 7), ()), ((2, 3, 5, 7), ((2, 1), (3, 1))),
+    ((3, 5, 7, 11), ()),
+)
+
+
+def test_relation_pool_builds_one_local_factor_per_local_type():
+    # a cold sweep computes each (kind, level, local type) factor once, and
+    # only the ones predict_dpsi reads: at each trace, the descriptor's own
+    # primes in order, up to the first vanishing factor
+    from geomatch.assembly import local_ratio
+    from geomatch.geodesics import MAX_SPLITTING_LEVEL, signed_traces
+    local_factor.cache_clear()
+    local_ratio.cache_clear()
+    datas = [RamifiedLevelData(ram, exps) for ram, exps in RELATION_POOL]
+    for data in datas:
+        psi_relation(data, 2e4)
+    misses = local_factor.cache_info().misses
+    needed = set()
+    for data in datas:
+        for desc in (GroupDescriptor.eichler(data, I) for I in subset_coefficients(data)):
+            N = desc.principal_level()
+            if N is not None and N <= MAX_SPLITTING_LEVEL:
+                continue
+            for t in signed_traces(3, trace_bound(2e4)):
+                for p, kind, level in desc.entries:
+                    lt = local_type(t, p)
+                    needed.update({(kind, level, lt), (OrderKind.M, 0, lt)})
+                    if local_factor(kind, level, lt) == 0:
+                        break
+    assert local_factor.cache_info().misses == misses  # the walk needed nothing new
+    assert misses == len(needed)
