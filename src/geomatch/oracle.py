@@ -30,6 +30,7 @@ from .orders import (
     order_membership,
     pi_matrix_inv,
     radical_power_membership,
+    scaled_order_level,
     split_conjugate,
 )
 from .padic import (
@@ -525,10 +526,23 @@ class CoverageReport:
 
 def _sample_entries(rng: random.Random, p: int, M: int,
                     unit_det: bool) -> tuple[int, int, int, int]:
-    """Uniform sample with unit determinant, or with 1 <= v(det) <= M-1."""
+    """Uniform sample with unit determinant, or with 1 <= v(det) <= M-1.
+
+    Each entry is k = bit_length(p^M) random bits, redrawn until below p^M:
+    the bits rng.randrange(p^M) consumes, so the stream does not depend on
+    how randrange is implemented.
+    """
     mod = p ** M
+    k = mod.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        a, b, c, d = (rng.randrange(mod) for _ in range(4))
+        entries = []
+        for _ in range(4):
+            e = getrandbits(k)
+            while e >= mod:
+                e = getrandbits(k)
+            entries.append(e)
+        a, b, c, d = entries
         det = (a * d - b * c) % p ** max(M, 4)
         if unit_det:
             if det % p:
@@ -822,7 +836,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
             Y = theta.conj_by(MatElt(work, *entries))
         except ValueError:
             return _NO_INVERSE
-        return next((j for j in range(bound) if order_membership(kind, Y.scale_p(j))), None)
+        return scaled_order_level(kind, Y, bound)
 
     for idx, entries, r in _classified_stream(p, M, samples, seed, level):
         if r == _NO_INVERSE:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .padic import (
     GUARD,
@@ -21,6 +22,7 @@ from .padic import (
     SPLIT,
     UNRAMIFIED,
     hensel_lift,
+    integer_valuation,
     unramified_generator_constant,
 )
 
@@ -30,11 +32,12 @@ class OrderKind(enum.Enum):
     J = "J"
     D = "D"
 
+    # members are singletons compared by identity; hash them by identity too,
+    # in C, rather than through Enum's Python-level hash of the name
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class MatElt:
-    """A 2x2 matrix over Q_p stored as (integer matrix mod p^M) / p^den."""
 
+class _MatFields(NamedTuple):
     ctx: PAdicContext
     e11: int
     e12: int
@@ -42,9 +45,21 @@ class MatElt:
     e22: int
     den: int = 0
 
-    def __post_init__(self):
-        if self.den < 0:
+
+class MatElt(_MatFields):
+    """A 2x2 matrix over Q_p stored as (integer matrix mod p^M) / p^den.
+
+    An immutable tuple (ctx, e11, e12, e21, e22, den): equal fields give equal
+    elements with equal hashes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ctx: PAdicContext, e11: int, e12: int, e21: int, e22: int,
+                den: int = 0) -> "MatElt":
+        if den < 0:
             raise ValueError("denominator exponent must be >= 0")
+        return tuple.__new__(cls, (ctx, e11, e12, e21, e22, den))
 
     @classmethod
     def identity(cls, ctx: PAdicContext) -> "MatElt":
@@ -58,30 +73,26 @@ class MatElt:
 
     @property
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.e11, self.e12, self.e21, self.e22)
+        return self[1:5]
 
     def __mul__(self, other: "MatElt") -> "MatElt":
-        m = self.ctx.modulus
-        a, b, c, d = self.entries
-        e, f, g, h = other.entries
-        return MatElt(
-            self.ctx,
-            (a * e + b * g) % m,
-            (a * f + b * h) % m,
-            (c * e + d * g) % m,
-            (c * f + d * h) % m,
-            self.den + other.den,
-        )
+        ctx, a, b, c, d, k = self
+        _, e, f, g, h, l = other
+        m = ctx.modulus
+        # k + l >= 0 already: skip the check in __new__
+        return tuple.__new__(MatElt, (ctx, (a * e + b * g) % m, (a * f + b * h) % m,
+                                      (c * e + d * g) % m, (c * f + d * h) % m, k + l))
 
     def minus_identity(self) -> "MatElt":
         """x - 1 at the same denominator."""
-        m = self.ctx.modulus
-        s = self.ctx.p ** self.den
-        a, b, c, d = self.entries
-        return MatElt(self.ctx, (a - s) % m, b, c, (d - s) % m, self.den)
+        ctx, a, b, c, d, den = self
+        m = ctx.modulus
+        s = ctx.p ** den
+        return MatElt(ctx, (a - s) % m, b, c, (d - s) % m, den)
 
     def det_int(self) -> int:
-        return (self.e11 * self.e22 - self.e12 * self.e21) % self.ctx.modulus
+        ctx, a, b, c, d, _ = self
+        return (a * d - b * c) % ctx.modulus
 
     def scale_p(self, k: int) -> "MatElt":
         """Multiply by p^k (k >= 0) without touching the denominator."""
@@ -91,20 +102,18 @@ class MatElt:
 
     def inv(self) -> "MatElt":
         """Inverse via the adjugate: (A/p^d)^-1 = adj(A) unit^-1 / p^(v(det A) - d)."""
-        ctx = self.ctx
-        d = self.det_int()
-        if d == 0:
-            raise PrecisionExhausted("determinant vanished at precision")
-        vdet = ctx.val(d)
-        ui = ctx.inv(d // ctx.p ** vdet)
+        ctx, a, b, c, d, den = self
         m = ctx.modulus
-        adj = (self.e22 * ui % m, -self.e12 * ui % m,
-               -self.e21 * ui % m, self.e11 * ui % m)
-        shift = vdet - self.den
-        if shift >= 0:
-            return MatElt(ctx, *adj, shift)
-        s = ctx.p ** (-shift)
-        return MatElt(ctx, *(e * s % m for e in adj), 0)
+        det = (a * d - b * c) % m
+        if det == 0:
+            raise PrecisionExhausted("determinant vanished at precision")
+        vdet = ctx.val(det)
+        ui = ctx.inv(det // ctx.p ** vdet)
+        shift = vdet - den
+        if shift < 0:  # clear the denominator into the scalar
+            ui = ui * ctx.p ** -shift % m
+            shift = 0
+        return MatElt(ctx, d * ui % m, -b * ui % m, -c * ui % m, a * ui % m, shift)
 
     def conj_by(self, g: "MatElt") -> "MatElt":
         """g^-1 * self * g."""
@@ -189,14 +198,74 @@ def norm_image_level(kind: OrderKind, n: int) -> int:
     return (n + 1) // 2
 
 
+def _entry_valuations(x: MatElt) -> list[int]:
+    """v(e) of each entry reduced mod p^M, with M standing for a zero entry.
+
+    Every membership threshold is at most M - GUARD, so M decides each test
+    as an infinite valuation would.
+    """
+    ctx = x.ctx
+    p, m = ctx.p, ctx.modulus
+    vals = []
+    for e in x.entries:
+        e %= m
+        v = 0
+        if e == 0:
+            v = ctx.M
+        else:
+            while e % p == 0:
+                e //= p
+                v += 1
+        vals.append(v)
+    return vals
+
+
+def _valuations_meet(vals, bounds, den: int, ctx: PAdicContext) -> bool:
+    """radical_power_membership on entry valuations: v >= t + den entry by entry.
+
+    Like ctx.val_at_least, a threshold above M - GUARD raises
+    PrecisionExhausted, at the first such entry unless an earlier one failed.
+    """
+    for v, t in zip(vals, bounds):
+        t += den
+        if t > 0:
+            if t > ctx.M - GUARD:
+                raise PrecisionExhausted(f"threshold {t} above {ctx.M} - {GUARD}")
+            if v < t:
+                return False
+    return True
+
+
 def exact_radical_level(kind: OrderKind, x) -> int:
-    """Largest n with x in radical^n (x nonzero; capped by precision)."""
-    bound = 2 * (x.ctx.M - GUARD - x.den)
-    if not order_membership(kind, x):
-        raise ValueError("element is not integral")
-    n = 0
-    while n < bound and radical_power_membership(kind, x, n + 1):
-        n += 1
+    """Largest n with x in radical^n (x nonzero; capped by precision).
+
+    D scans the levels.  M and J read n off the entry valuations w = v - den:
+    min(w) for M, and min(2 w11, 2 w12 + 1, 2 w21 - 1, 2 w22) for J, the
+    largest n that the staircase bounds admit.  The scan's tests at level 0
+    and at level n + 1 are replayed on the valuations, so ValueError and
+    PrecisionExhausted come on the same inputs as from the scan: no level in
+    between raises unless level n + 1 does (M has four equal thresholds, and
+    J's stay within the cap below the bound).
+    """
+    ctx, den = x.ctx, x.den
+    bound = 2 * (ctx.M - GUARD - den)
+    if kind is OrderKind.D:
+        if not order_membership(kind, x):
+            raise ValueError("element is not integral")
+        n = 0
+        while n < bound and radical_power_membership(kind, x, n + 1):
+            n += 1
+    else:
+        vals = _entry_valuations(x)
+        if not _valuations_meet(vals, _radical_bounds(kind, 0), den, ctx):
+            raise ValueError("element is not integral")
+        if kind is OrderKind.M:
+            n = min(vals) - den
+        else:
+            v11, v12, v21, v22 = vals
+            n = min(2 * v11, 2 * v12 + 1, 2 * v21 - 1, 2 * v22) - 2 * den
+        if n < bound and _valuations_meet(vals, _radical_bounds(kind, n + 1), den, ctx):
+            raise AssertionError("the valuation read-off disagrees with the staircase")
     if n >= bound:
         raise PrecisionExhausted("radical level hit the precision cap")
     return n
@@ -381,12 +450,29 @@ def split_conjugate(torus: TorusData, x: RegularElement, r: int) -> MatElt:
     return MatElt.from_rows(ctx, ((a * pr, a - b), (0, b * pr)), den=r)
 
 
+def scaled_order_level(kind: OrderKind, x: MatElt, bound: int) -> int | None:
+    """min j in [0, bound) with p^j x in the order (M or J), None past the bound.
+
+    p^j x is in the order when v + j >= b + den entry by entry, b the level-0
+    bounds, so j = max(0, max(b + den - v)) is read off the entry valuations.
+    Replaying the scan's last test, at min(j, bound - 1), raises
+    PrecisionExhausted where the scan over j raised.
+    """
+    vals = _entry_valuations(x)
+    b = _radical_bounds(kind, 0)
+    j = max(0, x.den + max(t - v for t, v in zip(b, vals)))
+    k = min(j, bound - 1)
+    if k >= 0 and _valuations_meet([v + k for v in vals], b, x.den, x.ctx):
+        return k
+    return None
+
+
 def embedding_order_level(kind: OrderKind, theta_image: MatElt) -> int:
     """min j >= 0 with p^j * theta_image in the order: the optimal level (< 12)."""
-    for j in range(12):
-        if order_membership(kind, theta_image.scale_p(j)):
-            return j
-    raise PrecisionExhausted("intersection level beyond the search bound 12")
+    j = scaled_order_level(kind, theta_image, 12)
+    if j is None:
+        raise PrecisionExhausted("intersection level beyond the search bound 12")
+    return j
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ arithmetic plus Hensel lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 GUARD = 2
 ENUM_CAP = 2 ** 20  # the most items any exhaustive enumeration may produce
@@ -377,21 +378,32 @@ def classify_torus(t: int, p: int, M: int | None = None) -> TorusData:
     return _unramified_torus(ctx)
 
 
-@dataclass(frozen=True, slots=True)
-class LocalType:
-    """What the local factors of a hyperbolic trace t at p depend on.
-
-    The torus kind of Q_p[X]/(X^2 - t X + 1) and the valuations v_p(t - 2),
-    v_p(t + 2); see local_type.  t rides along as a representative trace and
-    takes no part in equality or hashing, so two traces of one type make
-    one cache key.
-    """
-
+class _LocalTypeFields(NamedTuple):
     p: int
     torus: str
     v_minus: int  # v_p(t - 2)
     v_plus: int  # v_p(t + 2)
-    t: int = field(compare=False)
+
+
+class LocalType(_LocalTypeFields):
+    """What the local factors of a hyperbolic trace t at p depend on.
+
+    The tuple (p, torus, v_minus, v_plus): the torus kind of
+    Q_p[X]/(X^2 - t X + 1) and the valuations v_p(t - 2), v_p(t + 2); see
+    local_type.  t rides along outside the tuple as a representative trace
+    and takes no part in equality or hashing, so two traces of one type make
+    one cache key, hashed and compared by the tuple's own C code.
+    """
+
+    t: int  # in the instance dict: a tuple subclass cannot add slots
+
+    def __new__(cls, p: int, torus: str, v_minus: int, v_plus: int, t: int) -> "LocalType":
+        lt = tuple.__new__(cls, (p, torus, v_minus, v_plus))
+        lt.t = t
+        return lt
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__, with t
+        return (*self, self.t)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -419,6 +420,7 @@ def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, s
     lt = local_type(t, p)
     t2 = t + sign * w * p ** (lt.v_minus + lt.v_plus + 3)
     assert local_type(t2, p) == lt and local_type(t2, p).t == t2
+    assert hash(local_type(t2, p)) == hash(lt) and copy.copy(lt).t == t
     assert lt.torus == classify_torus(t, p).kind
     own = [_factors_at_own_element(level, t, p) for level in range(5)]
     assert own == [_factors_at_own_element(level, t2, p) for level in range(5)]

@@ -362,6 +362,23 @@ def test_coverage_stream_packing_at_64_bits():
             assert key == ((a * mod + b) * mod + c) * mod + d
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("M", [2, 3, 4, 16, 17])
+def test_coverage_stream_matches_randrange_draws(p, M):
+    # the stream is drawn with getrandbits; the reference draws with randrange
+    mod = p ** M
+    ctx = PAdicContext(p, M)
+    for seed in (0, 1, 9):
+        oracle._coverage_samples.cache_clear()
+        stream = oracle._coverage_samples(p, M, 200, seed)
+        rng = random.Random(seed)
+        expected = []
+        for idx in range(200):
+            a, b, c, d = _fresh_sample(rng, p, M, ctx, unit_det=(idx % 2 == 0)).entries
+            expected.append(((a * mod + b) * mod + c) * mod + d)
+        assert list(stream) == expected
+
+
 def test_coverage_draws_stream_once(capsys):
     oracle._coverage_samples.cache_clear()
     assert main(["coverage", "--decomposition", "all", "--p", "2", "--M", "2",

@@ -19,8 +19,10 @@ from geomatch.orders import (
     pi_matrix,
     pi_matrix_inv,
     radical_power_membership,
+    scaled_order_level,
 )
 from geomatch.padic import (
+    GUARD,
     PAdicContext,
     PrecisionExhausted,
     RAMIFIED,
@@ -211,6 +213,67 @@ def test_order_membership_denominators():
     assert order_membership(OrderKind.M, x)
     y = MatElt(ctx, 2, 1, 8, 4, den=1)  # upper right 1/2: not integral
     assert not order_membership(OrderKind.M, y)
+
+
+def test_matelt_is_an_immutable_value():
+    ctx = PAdicContext(3, 8)
+    x = MatElt(ctx, 1, 3, 9, 2, den=1)
+    for name in ("e11", "den", "ctx", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(ValueError):
+        MatElt(ctx, 1, 0, 0, 1, den=-1)
+    y = MatElt(ctx, 1, 3, 9, 2, den=1)
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert MatElt(ctx, 1, 3, 9, 2) != x
+    assert MatElt.identity(ctx) * x == x == x * MatElt.identity(ctx)
+    assert x.entries == (1, 3, 9, 2)
+
+
+def _scan_radical_level(kind, x):
+    """exact_radical_level as the level-by-level scan of radical powers."""
+    bound = 2 * (x.ctx.M - GUARD - x.den)
+    if not order_membership(kind, x):
+        raise ValueError("element is not integral")
+    n = 0
+    while n < bound and radical_power_membership(kind, x, n + 1):
+        n += 1
+    if n >= bound:
+        raise PrecisionExhausted("radical level hit the precision cap")
+    return n
+
+
+def _scan_order_level(kind, x, bound):
+    """scaled_order_level as the scan of p^j x over j in [0, bound)."""
+    return next((j for j in range(bound) if order_membership(kind, x.scale_p(j))), None)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the ValueError or PrecisionExhausted it raised."""
+    try:
+        return f(*args)
+    except (ValueError, PrecisionExhausted) as exc:
+        return type(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(kind=st.sampled_from([OrderKind.M, OrderKind.J]), p=st.sampled_from([2, 3, 5]),
+       M=st.integers(1, 9), data=st.data())
+def test_level_read_offs_match_scans(kind, p, M, data):
+    ctx = PAdicContext(p, M)
+    # zero, any residue, or u p^k with k up to M + 1 (so also 0 mod p^M, unreduced)
+    entry = st.one_of(st.just(0), st.integers(0, ctx.modulus - 1),
+                      st.builds(lambda u, k: u * p ** k, st.integers(1, p * p),
+                                st.integers(0, M + 1)))
+    den = data.draw(st.integers(0, max(M - GUARD, 0) + 1), label="den")
+    x = MatElt(ctx, *(data.draw(entry, label="entry") for _ in range(4)), den)
+    assert _outcome(exact_radical_level, kind, x) == _outcome(_scan_radical_level, kind, x)
+    bound = data.draw(st.integers(0, 2 * M + 4), label="bound")
+    assert _outcome(scaled_order_level, kind, x, bound) == \
+        _outcome(_scan_order_level, kind, x, bound)
+    scanned = _outcome(_scan_order_level, kind, x, 12)
+    assert _outcome(embedding_order_level, kind, x) == \
+        (PrecisionExhausted if scanned is None else scanned)
 
 
 TORI = (split_torus, unramified_torus, ramified_torus,
