@@ -834,7 +834,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
         """The optimal-embedding level, None when there is none, or _NO_INVERSE."""
         try:
             Y = theta.conj_by(MatElt(work, *entries))
-        except ValueError:
+        except PrecisionExhausted:  # det(g) vanishes at the working precision
             return _NO_INVERSE
         return scaled_order_level(kind, Y, bound)
 

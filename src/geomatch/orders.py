@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .padic import (
@@ -22,7 +24,6 @@ from .padic import (
     SPLIT,
     UNRAMIFIED,
     hensel_lift,
-    integer_valuation,
     unramified_generator_constant,
 )
 
@@ -130,23 +131,28 @@ def pi_matrix_inv(ctx: PAdicContext) -> MatElt:
     return MatElt(ctx, 0, 1, ctx.p % ctx.modulus, 0, den=1)
 
 
-# staircase lower bounds for the matrix radical powers, as functions of n >= 0
+# The radical staircase of each chain order, (slope, shifts): x lies in rad^n
+# when v(e_i) - den >= ceil((slope n + shift_i) / 2) for each of its four
+# entries e_i, the matrix entries for M and J and (u0, u1, w0, w1) of
+# u + w pi_D for D.
+_STAIRCASE = {
+    OrderKind.M: (2, (0, 0, 0, 0)),
+    OrderKind.J: (1, (0, -1, 1, 0)),
+    OrderKind.D: (1, (0, 0, -1, -1)),
+}
+
+
+@lru_cache(maxsize=None)
 def _radical_bounds(kind: OrderKind, n: int) -> tuple[int, int, int, int]:
-    if kind is OrderKind.M:
-        return (n, n, n, n)
-    k, odd = divmod(n, 2)
-    if odd:
-        return (k + 1, k, k + 1, k + 1)
-    return (k, k, k + 1, k)
+    """The staircase lower bounds on v(e_i) - den for rad^n, n >= 0."""
+    slope, shifts = _STAIRCASE[kind]
+    return tuple(-(-(slope * n + s) // 2) for s in shifts)
 
 
 def radical_power_membership(kind: OrderKind, x, n: int) -> bool:
     """Whether x lies in the n-th power of the Jacobson radical (the order for n <= 0)."""
-    n = max(n, 0)
-    if kind is OrderKind.D:
-        return x.vd_at_least(n)
-    b = _radical_bounds(kind, n)
-    return all(x.ctx.val_at_least(e, t + x.den) for e, t in zip(x.entries, b))
+    return _valuations_meet(_entry_valuations(x), _radical_bounds(kind, max(n, 0)),
+                            x.den, x.ctx)
 
 
 def order_membership(kind: OrderKind, x) -> bool:
@@ -198,30 +204,20 @@ def norm_image_level(kind: OrderKind, n: int) -> int:
     return (n + 1) // 2
 
 
-def _entry_valuations(x: MatElt) -> list[int]:
+def _entry_valuations(x) -> list[int]:
     """v(e) of each entry reduced mod p^M, with M standing for a zero entry.
 
     Every membership threshold is at most M - GUARD, so M decides each test
     as an infinite valuation would.
     """
     ctx = x.ctx
-    p, m = ctx.p, ctx.modulus
-    vals = []
-    for e in x.entries:
-        e %= m
-        v = 0
-        if e == 0:
-            v = ctx.M
-        else:
-            while e % p == 0:
-                e //= p
-                v += 1
-        vals.append(v)
-    return vals
+    m, exponent = ctx.modulus, ctx.power_exponents
+    a, b, c, d = x.entries
+    return [exponent[gcd(a, m)], exponent[gcd(b, m)], exponent[gcd(c, m)], exponent[gcd(d, m)]]
 
 
 def _valuations_meet(vals, bounds, den: int, ctx: PAdicContext) -> bool:
-    """radical_power_membership on entry valuations: v >= t + den entry by entry.
+    """Whether the entry valuations meet the bounds: v >= t + den entry by entry.
 
     Like ctx.val_at_least, a threshold above M - GUARD raises
     PrecisionExhausted, at the first such entry unless an earlier one failed.
@@ -239,33 +235,24 @@ def _valuations_meet(vals, bounds, den: int, ctx: PAdicContext) -> bool:
 def exact_radical_level(kind: OrderKind, x) -> int:
     """Largest n with x in radical^n (x nonzero; capped by precision).
 
-    D scans the levels.  M and J read n off the entry valuations w = v - den:
-    min(w) for M, and min(2 w11, 2 w12 + 1, 2 w21 - 1, 2 w22) for J, the
-    largest n that the staircase bounds admit.  The scan's tests at level 0
-    and at level n + 1 are replayed on the valuations, so ValueError and
-    PrecisionExhausted come on the same inputs as from the scan: no level in
-    between raises unless level n + 1 does (M has four equal thresholds, and
-    J's stay within the cap below the bound).
+    The same read-off for M, J and D, through the staircase table: x is in
+    rad^n exactly when slope n <= 2 (v_i - den) - shift_i for every entry,
+    so n = min(2 (v_i - den) - shift_i) // slope.  The tests of a
+    level-by-level scan at level 0 and at level n + 1 are replayed on the
+    valuations, so ValueError and PrecisionExhausted come on the same inputs
+    as from the scan: below the bound 2 (M - GUARD - den), no level in
+    between raises unless level n + 1 does (M's four thresholds are equal,
+    and J's and D's stay within the cap).
     """
     ctx, den = x.ctx, x.den
     bound = 2 * (ctx.M - GUARD - den)
-    if kind is OrderKind.D:
-        if not order_membership(kind, x):
-            raise ValueError("element is not integral")
-        n = 0
-        while n < bound and radical_power_membership(kind, x, n + 1):
-            n += 1
-    else:
-        vals = _entry_valuations(x)
-        if not _valuations_meet(vals, _radical_bounds(kind, 0), den, ctx):
-            raise ValueError("element is not integral")
-        if kind is OrderKind.M:
-            n = min(vals) - den
-        else:
-            v11, v12, v21, v22 = vals
-            n = min(2 * v11, 2 * v12 + 1, 2 * v21 - 1, 2 * v22) - 2 * den
-        if n < bound and _valuations_meet(vals, _radical_bounds(kind, n + 1), den, ctx):
-            raise AssertionError("the valuation read-off disagrees with the staircase")
+    vals = _entry_valuations(x)
+    if not _valuations_meet(vals, _radical_bounds(kind, 0), den, ctx):
+        raise ValueError("element is not integral")
+    slope, shifts = _STAIRCASE[kind]
+    n = min([2 * (v - den) - s for v, s in zip(vals, shifts)]) // slope
+    if n < bound and _valuations_meet(vals, _radical_bounds(kind, n + 1), den, ctx):
+        raise AssertionError("the valuation read-off disagrees with the staircase")
     if n >= bound:
         raise PrecisionExhausted("radical level hit the precision cap")
     return n
@@ -358,6 +345,10 @@ class DivElt:
     def ctx(self) -> PAdicContext:
         return self.model.ctx
 
+    @property
+    def entries(self) -> tuple[int, int, int, int]:
+        return (*self.u, *self.w)
+
     def __mul__(self, other: "DivElt") -> "DivElt":
         md = self.model
         p = self.ctx.p
@@ -379,16 +370,6 @@ class DivElt:
 
     def trace_int(self) -> int:
         return (2 * self.u[0] + self.u[1]) % self.ctx.modulus
-
-    def vd_at_least(self, n: int) -> bool:
-        """Whether v_D(x) >= n, i.e. v(u) >= ceil(m/2), v(w) >= floor(m/2), m = n + 2 den."""
-        m = n + 2 * self.den
-        if m <= 0:
-            return True
-        ctx = self.ctx
-        cu, cw = (m + 1) // 2, m // 2
-        return (ctx.val_at_least(self.u[0], cu) and ctx.val_at_least(self.u[1], cu)
-                and ctx.val_at_least(self.w[0], cw) and ctx.val_at_least(self.w[1], cw))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,11 @@ class PAdicContext:
     def modulus(self) -> int:
         return self.p ** self.M
 
+    @cached_property
+    def power_exponents(self) -> dict[int, int]:
+        """{p^k: k} for 0 <= k <= M, so v(x) = power_exponents[gcd(x, p^M)] below M."""
+        return {self.p ** k: k for k in range(self.M + 1)}
+
     def reduce(self, x: int) -> int:
         return x % self.modulus
 

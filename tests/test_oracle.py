@@ -26,6 +26,7 @@ from geomatch.orders import MatElt, MatrixEmbedding, OrderKind, norm_image_level
 from geomatch.padic import (
     EnumerationTooLarge,
     PAdicContext,
+    PrecisionExhausted,
     RAMIFIED,
     SPLIT,
     UNRAMIFIED,
@@ -268,7 +269,7 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed):
         g = _fresh_sample(rng, p, M, work, unit_det=(idx % 2 == 0))
         try:
             Y = theta.conj_by(g)
-        except ValueError:
+        except PrecisionExhausted:
             rep.violations.append({"type": "no-inverse", "sample": idx})
             continue
         r = next((j for j in range(bound)
@@ -306,33 +307,25 @@ def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo
     """The shared stream and the per-matrix memo change no report.
 
     Checked once with the real classifiers, and once with injected faults:
-    split samples whose e11 is divisible by p get no witness, nonsplit ones
-    have no inverse, and nonsplit samples whose e12 is divisible by p fail
-    the deep witness.  Violations on repeated matrices must each be reported
-    with their own sample index.
+    split samples whose e11 is divisible by p get no witness, and nonsplit
+    samples whose e12 is divisible by p fail the deep witness.  Violations on
+    repeated matrices must each be reported with their own sample index.
     """
     monkeypatch.setattr(oracle, "_draws_repeat", lambda p, M, samples: memo)
     seed = 11
     for faulty in (False, True):
         if faulty:
             classify = oracle._split_classify_witness
-            conj_by = MatElt.conj_by
             deep_witness = oracle._nonsplit_deep_witness
 
             def reject_split(g, kind):
                 r, side, ok = classify(g, kind)
                 return r, side, ok and g.e11 % p != 0
 
-            def no_inverse(X, g):
-                if g.e11 % p == 0:
-                    raise ValueError("no inverse")
-                return conj_by(X, g)
-
             def reject_deep(work, torus, kind, g, r):
                 return g.e12 % p != 0 and deep_witness(work, torus, kind, g, r)
 
             monkeypatch.setattr(oracle, "_split_classify_witness", reject_split)
-            monkeypatch.setattr(MatElt, "conj_by", no_inverse)
             monkeypatch.setattr(oracle, "_nonsplit_deep_witness", reject_deep)
         for torus_kind in (UNRAMIFIED, RAMIFIED):
             got = _four_decompositions(coset_coverage_split, coset_coverage_nonsplit,
@@ -347,6 +340,32 @@ def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo
                     assert len(set(entries)) < len(entries)
             else:
                 assert all(rep["ok"] for rep in got)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_coverage_reports_singular_sample_as_no_inverse(monkeypatch, memo):
+    """A sample singular at the working precision is a no-inverse violation.
+
+    The sampler keeps v(det) < M, so the singular matrix (1, 1, 1, 1) is fed
+    in through the sample stream, twice; every other sample is still
+    classified and witnessed.
+    """
+    p, M, samples, seed = 3, 2, 40, 5
+    monkeypatch.setattr(oracle, "_draws_repeat", lambda p, M, samples: memo)
+    clean = {kind: coset_coverage_nonsplit(kind, RAMIFIED, p, M, samples, seed)
+             for kind in (OrderKind.M, OrderKind.J)}
+    fed = list(oracle._coverage_samples(p, M, samples, seed))
+    mod = p ** M
+    fed[7] = fed[20] = ((mod + 1) * mod + 1) * mod + 1
+    monkeypatch.setattr(oracle, "_coverage_samples", lambda *args: fed)
+    for kind, ref in clean.items():
+        assert ref.ok and ref.deep_witness_checked == samples
+        got = coset_coverage_nonsplit(kind, RAMIFIED, p, M, samples, seed)
+        assert got.violations == [{"type": "no-inverse", "sample": 7},
+                                  {"type": "no-inverse", "sample": 20}]
+        assert not got.ok
+        assert sum(got.r_histogram.values()) == got.deep_witness_checked == samples - 2
+        assert all(got.r_histogram[r] <= ref.r_histogram[r] for r in got.r_histogram)
 
 
 def test_coverage_stream_packing_at_64_bits():
@@ -390,7 +409,6 @@ def test_coverage_draws_stream_once(capsys):
 def _full_scan_disjoint_split(work, kind, r1, r2):
     """The disjointness certificate as a scan of every (i, j) in [0, B]^2."""
     from geomatch.orders import in_normalizer
-    from geomatch.padic import PrecisionExhausted
     p = work.p
     B = max(r1, r2) + 2
     for i in range(0, B + 1):

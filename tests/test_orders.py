@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from geomatch.orders import (
+    DivElt,
     DivisionModel,
     MatElt,
     MatrixEmbedding,
@@ -230,13 +231,39 @@ def test_matelt_is_an_immutable_value():
     assert x.entries == (1, 3, 9, 2)
 
 
+def _reference_membership(kind, x, n):
+    """radical_power_membership entry by entry, apart from the staircase table.
+
+    M and J test v(e) >= b + den on each matrix entry with ctx.val_at_least,
+    b the staircase bounds written out; D tests v_D(x) >= n as v(u) >=
+    ceil(m/2) and v(w) >= floor(m/2), m = n + 2 den.
+    """
+    n = max(n, 0)
+    ctx = x.ctx
+    if kind is OrderKind.D:
+        m = n + 2 * x.den
+        if m <= 0:
+            return True
+        cu, cw = (m + 1) // 2, m // 2
+        return (ctx.val_at_least(x.u[0], cu) and ctx.val_at_least(x.u[1], cu)
+                and ctx.val_at_least(x.w[0], cw) and ctx.val_at_least(x.w[1], cw))
+    k, odd = divmod(n, 2)
+    if kind is OrderKind.M:
+        b = (n, n, n, n)
+    elif odd:
+        b = (k + 1, k, k + 1, k + 1)
+    else:
+        b = (k, k, k + 1, k)
+    return all(ctx.val_at_least(e, t + x.den) for e, t in zip(x.entries, b))
+
+
 def _scan_radical_level(kind, x):
-    """exact_radical_level as the level-by-level scan of radical powers."""
+    """exact_radical_level as the level-by-level scan of the reference membership."""
     bound = 2 * (x.ctx.M - GUARD - x.den)
-    if not order_membership(kind, x):
+    if not _reference_membership(kind, x, 0):
         raise ValueError("element is not integral")
     n = 0
-    while n < bound and radical_power_membership(kind, x, n + 1):
+    while n < bound and _reference_membership(kind, x, n + 1):
         n += 1
     if n >= bound:
         raise PrecisionExhausted("radical level hit the precision cap")
@@ -245,7 +272,8 @@ def _scan_radical_level(kind, x):
 
 def _scan_order_level(kind, x, bound):
     """scaled_order_level as the scan of p^j x over j in [0, bound)."""
-    return next((j for j in range(bound) if order_membership(kind, x.scale_p(j))), None)
+    return next((j for j in range(bound) if _reference_membership(kind, x.scale_p(j), 0)),
+                None)
 
 
 def _outcome(f, *args):
@@ -256,18 +284,41 @@ def _outcome(f, *args):
         return type(exc)
 
 
-@settings(max_examples=600, deadline=None)
-@given(kind=st.sampled_from([OrderKind.M, OrderKind.J]), p=st.sampled_from([2, 3, 5]),
-       M=st.integers(1, 9), data=st.data())
-def test_level_read_offs_match_scans(kind, p, M, data):
+def _draw_element(data, kind, p, M):
+    """An element of kind's algebra at a denominator up to one past the cap.
+
+    Each entry is zero, any residue, or u p^k with k up to M + 1 (so also
+    0 mod p^M, unreduced).
+    """
     ctx = PAdicContext(p, M)
-    # zero, any residue, or u p^k with k up to M + 1 (so also 0 mod p^M, unreduced)
     entry = st.one_of(st.just(0), st.integers(0, ctx.modulus - 1),
                       st.builds(lambda u, k: u * p ** k, st.integers(1, p * p),
                                 st.integers(0, M + 1)))
     den = data.draw(st.integers(0, max(M - GUARD, 0) + 1), label="den")
-    x = MatElt(ctx, *(data.draw(entry, label="entry") for _ in range(4)), den)
+    e = [data.draw(entry, label="entry") for _ in range(4)]
+    if kind is OrderKind.D:
+        return DivElt(DivisionModel(ctx), (e[0], e[1]), (e[2], e[3]), den)
+    return MatElt(ctx, *e, den)
+
+
+@settings(max_examples=600, deadline=None)
+@given(kind=st.sampled_from(list(OrderKind)), p=st.sampled_from([2, 3, 5]),
+       M=st.integers(1, 9), data=st.data())
+def test_radical_membership_matches_reference(kind, p, M, data):
+    x = _draw_element(data, kind, p, M)
+    n = data.draw(st.integers(0, 2 * M + 1), label="n")
+    assert _outcome(radical_power_membership, kind, x, n) == \
+        _outcome(_reference_membership, kind, x, n)
+
+
+@settings(max_examples=900, deadline=None)
+@given(kind=st.sampled_from(list(OrderKind)), p=st.sampled_from([2, 3, 5]),
+       M=st.integers(1, 9), data=st.data())
+def test_level_read_offs_match_scans(kind, p, M, data):
+    x = _draw_element(data, kind, p, M)
     assert _outcome(exact_radical_level, kind, x) == _outcome(_scan_radical_level, kind, x)
+    if kind is OrderKind.D:
+        return  # the order levels p^j x are matrix read-offs
     bound = data.draw(st.integers(0, 2 * M + 4), label="bound")
     assert _outcome(scaled_order_level, kind, x, bound) == \
         _outcome(_scan_order_level, kind, x, bound)

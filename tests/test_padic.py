@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,15 @@ def test_cached_modulus_keeps_equality_and_hash():
         fresh = PAdicContext(p, M)
         assert read == fresh and hash(read) == hash(fresh)
         assert {read: 1}[fresh] == 1
+
+
+def test_power_exponents_read_valuations():
+    # v(x) capped at M is the exponent of gcd(x, p^M), also for x = 0 mod p^M
+    for p, M in ((2, 1), (3, 12), (5, 6)):
+        ctx = PAdicContext(p, M)
+        for x in (0, 1, -p, p ** M, -(p ** (M + 2)), 7 * p ** 3, ctx.modulus - p):
+            want = M if x % ctx.modulus == 0 else min(integer_valuation(x, p), M)
+            assert ctx.power_exponents[gcd(x, ctx.modulus)] == want
 
 
 def test_valuation_guard():
