@@ -77,32 +77,6 @@ class RamifiedLevelData:
         object.__setattr__(self, "exponents",
                            tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
 
-    def exponent(self, p: int) -> int:
-        return dict(self.exponents).get(p, 0)
-
-    def level_support(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.ram) | {p for p, _ in self.exponents}))
-
-
-def subset_coefficients(data: RamifiedLevelData) -> dict[frozenset, Fraction]:
-    """prod a_p (p in I) * prod b_p (p in ram - I) over subsets I of ram.
-
-    The coefficients of the matched combinations at each ramified prime; the
-    values sum to 1 exactly since a_p + b_p = 1.
-    """
-    coeffs = {}
-    for mask in range(2 ** len(data.ram)):
-        subset = frozenset(p for k, p in enumerate(data.ram) if mask >> k & 1)
-        val = Fraction(1)
-        for p in data.ram:
-            combo = matching_combination(p, data.exponent(p))
-            val *= combo.coeff_f if p in subset else combo.coeff_g
-        coeffs[subset] = val
-    total = sum(coeffs.values())
-    if total != 1:
-        raise AssertionError("subset coefficients must sum to 1")
-    return coeffs
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -127,33 +101,6 @@ class GroupDescriptor:
             raise ValueError("level must be >= 1")
         return cls(tuple((p, OrderKind.M, e) for p, e in factorize(N)))
 
-    @classmethod
-    def eichler(cls, data: RamifiedLevelData, subset: frozenset) -> "GroupDescriptor":
-        entries = []
-        for p in data.level_support():
-            n = data.exponent(p)
-            if p not in data.ram:
-                if n:
-                    entries.append((p, OrderKind.M, n))
-            elif p in subset:
-                combo = matching_combination(p, n)
-                entries.append((p, OrderKind.M, combo.f_level))
-            else:
-                combo = matching_combination(p, n)
-                entries.append((p, OrderKind.J, combo.g_level))
-        return cls(tuple(entries))
-
-    @classmethod
-    def quaternion(cls, data: RamifiedLevelData) -> "GroupDescriptor":
-        entries = []
-        for p in data.level_support():
-            n = data.exponent(p)
-            if p in data.ram:
-                entries.append((p, OrderKind.D, n))
-            elif n:
-                entries.append((p, OrderKind.M, n))
-        return cls(tuple(entries))
-
     def principal_level(self) -> int | None:
         """N when the group is the principal congruence subgroup Gamma(N)."""
         N = 1
@@ -162,6 +109,40 @@ class GroupDescriptor:
                 return None
             N *= p ** level
         return N
+
+
+def relation_terms(data: RamifiedLevelData):
+    """((I, coeff_I, descriptor of Gamma_I), ...) over the subsets I of ram, and D's descriptor.
+
+    One walk over the primes of ram and of the exponents builds every term: a
+    ramified p of level n doubles each term, into one with a_p and (p, M,
+    f-level) for p in I and one with b_p and (p, J, g-level) for p not in I,
+    and gives the quaternion side (p, D, n); any other p of level n adds
+    (p, M, n) to both sides.  The walk runs from the largest prime down and
+    prepends, so entries come out in increasing prime order and the subsets
+    in sorted order: for the least prime p, the sorted subsets are (), then
+    (p,) + s, then s != (), for s over the sorted subsets of the rest.  The
+    coefficients sum to 1 exactly since a_p + b_p = 1.
+    """
+    levels = dict(data.exponents)
+    terms = [((), Fraction(1), ())]
+    quaternion = ()
+    for p in sorted(set(data.ram) | levels.keys(), reverse=True):
+        n = levels.get(p, 0)
+        if p in data.ram:
+            combo = matching_combination(p, n)
+            f_entry, g_entry = (p, OrderKind.M, combo.f_level), (p, OrderKind.J, combo.g_level)
+            out = [(s, c * combo.coeff_g, (g_entry, *e)) for s, c, e in terms]
+            terms = out[:1] + [((p, *s), c * combo.coeff_f, (f_entry, *e))
+                               for s, c, e in terms] + out[1:]
+            quaternion = ((p, OrderKind.D, n), *quaternion)
+        else:
+            entry = (p, OrderKind.M, n)
+            terms = [(s, c, (entry, *e)) for s, c, e in terms]
+            quaternion = (entry, *quaternion)
+    if sum(c for _, c, _ in terms) != 1:
+        raise AssertionError("subset coefficients must sum to 1")
+    return tuple((s, c, GroupDescriptor(e)) for s, c, e in terms), GroupDescriptor(quaternion)
 
 
 @lru_cache(maxsize=None)
@@ -287,13 +268,9 @@ def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
 
 
 def _relation_groups(data: RamifiedLevelData):
-    """((subset, coefficient, descriptor, c), ...) per Eichler term in subset order, and c_D."""
-    coeffs = subset_coefficients(data)
-    groups = []
-    for subset in sorted(coeffs, key=lambda s: tuple(sorted(s))):
-        desc = GroupDescriptor.eichler(data, subset)
-        groups.append((tuple(sorted(subset)), coeffs[subset], desc, group_c_factor(desc)))
-    return tuple(groups), group_c_factor(GroupDescriptor.quaternion(data))
+    """((subset, coefficient, descriptor, c), ...) per Eichler term, and D's descriptor."""
+    terms, qdesc = relation_terms(data)
+    return tuple((s, c, desc, group_c_factor(desc)) for s, c, desc in terms), qdesc
 
 
 def _trace_terms(groups, c_q: Fraction, t: int):
@@ -333,18 +310,17 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     are checked as well: the subset expansion of the local products and the
     agreement with the quaternion-side local product.
     """
-    groups, c_q = _relation_groups(data)
-    vals, dpsi_q = _trace_terms(groups, c_q, t)
+    groups, qdesc = _relation_groups(data)
+    vals, dpsi_q = _trace_terms(groups, group_c_factor(qdesc), t)
     terms = tuple(DpsiRelationTerm(subset, coeff, val, mode)
                   for (subset, coeff, _, _), (val, mode) in zip(groups, vals))
     subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc, _ in groups)
-    qdesc = GroupDescriptor.quaternion(data)
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
-        if p in data.ram:
-            matched *= matched_local_factor(data.exponent(p), t, p)
+        kind, level = qdesc.local_entry(p)
+        if kind is OrderKind.D:
+            matched *= matched_local_factor(level, t, p)
         else:
-            kind, level = qdesc.local_entry(p)
             matched *= local_factor(kind, level, local_type(t, p))
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
@@ -386,7 +362,8 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     size = 2 ** len(data.ram) * 2 * (trace_bound(x) - 2)
     if size > ENUM_CAP:
         raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
-    groups, c_q = _relation_groups(data)
+    groups, qdesc = _relation_groups(data)
+    c_q = group_c_factor(qdesc)
     psi_terms = [0.0] * len(groups)
     per_trace = []
     for t in signed_traces(3, trace_bound(x)):

@@ -627,11 +627,15 @@ def _split_route(g: MatElt, kind: OrderKind) -> tuple[MatElt, int]:
     return g * swap, 1
 
 
-def _split_classify_witness(g0: MatElt, kind: OrderKind) -> tuple[int, int, bool]:
+_NO_INVERSE = "no-inverse"  # outcome of a sample singular at the working precision
+
+
+def _split_classify_witness(g0: MatElt, kind: OrderKind) -> tuple[int, int, bool] | str:
     """(r, side, witnessed): classify g0 and verify g0 in T n(p^-r) K_O.
 
     The witness is h = n(-p^-r) diag(unit-part(u),1)^-1 tau^-1 g in K_O with
     tau = diag(det/d, d) read off the cleared matrix; everything is exact.
+    _NO_INVERSE when d or det vanishes at the working precision.
     """
     ctx = g0.ctx
     p, mod = ctx.p, ctx.modulus
@@ -644,7 +648,7 @@ def _split_classify_witness(g0: MatElt, kind: OrderKind) -> tuple[int, int, bool
     vd_i = _guarded_val(ctx, d_int, big)
     vdet_i = _guarded_val(ctx, det_int, big)
     if vd_i >= big or vdet_i >= big:
-        return -1, side, False
+        return _NO_INVERSE
     vb, vd, vdet = vb_i - den, vd_i - den, vdet_i - 2 * den
     vu = vb + vd - vdet if vb_i < big else big
     r = max(0, -vu)
@@ -732,7 +736,11 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
     def classify(entries):
         return _split_classify_witness(MatElt(work, *entries), kind)
 
-    for idx, entries, (r, side, ok) in _classified_stream(p, M, samples, seed, classify):
+    for idx, entries, outcome in _classified_stream(p, M, samples, seed, classify):
+        if outcome == _NO_INVERSE:
+            rep.violations.append({"type": "no-inverse", "sample": idx})
+            continue
+        r, side, ok = outcome
         if not ok:
             rep.violations.append({"type": "no-witness", "sample": idx,
                                    "entries": entries, "r": r})
@@ -808,7 +816,6 @@ def _nonsplit_deep_witness(work: PAdicContext, torus: TorusData, kind: OrderKind
     return False
 
 
-_NO_INVERSE = "no-inverse"  # nonsplit outcome of a sample with no inverse
 DEEP_WITNESSES = 300  # nonsplit samples, from the first, that also get a conjugating witness
 
 

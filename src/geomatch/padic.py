@@ -178,6 +178,8 @@ def sqrt_unit(u: int, ctx: PAdicContext) -> int:
     p, mod = ctx.p, ctx.modulus
     u %= mod
     if p != 2:
+        if not _is_unit_square(u, p):
+            raise ValueError(f"{u} is not a unit square mod {p}")
         r = next(y for y in range(p) if y * y % p == u % p)
         return hensel_lift(lambda y: y * y - u, lambda y: 2 * y, r, ctx)
     if u % 8 != 1:

@@ -18,20 +18,24 @@ from geomatch.assembly import (
     matched_local_factor,
     predict_dpsi,
     psi_relation,
-    subset_coefficients,
+    relation_terms,
 )
 from geomatch.geodesics import dpsi_enumerated, psi_enumerated, trace_bound
+from geomatch.integrals import matching_combination
 from geomatch.orders import OrderKind
 from geomatch.padic import local_type
 
 
+def _coefficients(data):
+    """{I: coeff_I} from the relation table."""
+    return {subset: coeff for subset, coeff, _ in relation_terms(data)[0]}
+
+
 def test_subset_coefficients_examples():
-    co = subset_coefficients(RamifiedLevelData((2, 3)))
-    assert co == {frozenset(): Fraction(1), frozenset({2}): Fraction(-2),
-                  frozenset({3}): Fraction(-2), frozenset({2, 3}): Fraction(4)}
-    co = subset_coefficients(RamifiedLevelData((2, 3), ((2, 2),)))
-    assert co == {frozenset(): Fraction(3), frozenset({2}): Fraction(-4),
-                  frozenset({3}): Fraction(-6), frozenset({2, 3}): Fraction(8)}
+    co = _coefficients(RamifiedLevelData((2, 3)))
+    assert co == {(): Fraction(1), (2,): Fraction(-2), (3,): Fraction(-2), (2, 3): Fraction(4)}
+    co = _coefficients(RamifiedLevelData((2, 3), ((2, 2),)))
+    assert co == {(): Fraction(3), (2,): Fraction(-4), (3,): Fraction(-6), (2, 3): Fraction(8)}
 
 
 def test_subset_coefficients_sum_randomized():
@@ -42,9 +46,64 @@ def test_subset_coefficients_sum_randomized():
         ram = tuple(rng.sample(primes, size))
         exps = tuple((p, rng.randrange(0, 6)) for p in ram if rng.random() < 0.7)
         data = RamifiedLevelData(ram, exps)
-        co = subset_coefficients(data)
+        co = _coefficients(data)
         assert sum(co.values()) == 1
         assert len(co) == 2 ** size
+
+
+def _reference_terms(data):
+    """The relation table by a mask loop for the coefficients, then one walk per subset.
+
+    An independent construction of what relation_terms builds in one walk:
+    [(I, coeff_I, Gamma_I's entries)] in sorted-subset order, and D's entries.
+    """
+    exps = dict(data.exponents)
+    support = sorted(set(data.ram) | set(exps))
+    coeffs = {}
+    for mask in range(2 ** len(data.ram)):
+        subset = frozenset(p for k, p in enumerate(data.ram) if mask >> k & 1)
+        val = Fraction(1)
+        for p in data.ram:
+            combo = matching_combination(p, exps.get(p, 0))
+            val *= combo.coeff_f if p in subset else combo.coeff_g
+        coeffs[subset] = val
+    terms = []
+    for subset in sorted(coeffs, key=lambda s: tuple(sorted(s))):
+        entries = []
+        for p in support:
+            n = exps.get(p, 0)
+            if p not in data.ram:
+                if n:
+                    entries.append((p, OrderKind.M, n))
+            elif p in subset:
+                entries.append((p, OrderKind.M, matching_combination(p, n).f_level))
+            else:
+                entries.append((p, OrderKind.J, matching_combination(p, n).g_level))
+        terms.append((tuple(sorted(subset)), coeffs[subset], tuple(entries)))
+    quaternion = []
+    for p in support:
+        n = exps.get(p, 0)
+        if p in data.ram:
+            quaternion.append((p, OrderKind.D, n))
+        elif n:
+            quaternion.append((p, OrderKind.M, n))
+    return terms, tuple(quaternion)
+
+
+FIRST_EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@settings(max_examples=100)
+@given(ram=st.integers(1, 3).flatmap(lambda k: st.lists(
+           st.sampled_from(FIRST_EIGHT_PRIMES), min_size=2 * k, max_size=2 * k, unique=True)),
+       levels=st.dictionaries(st.sampled_from(FIRST_EIGHT_PRIMES), st.integers(0, 5)))
+def test_relation_terms_match_reference(ram, levels):
+    # levels fall on ramified and unramified primes alike, level 0 included
+    data = RamifiedLevelData(tuple(ram), tuple(levels.items()))
+    terms, qdesc = relation_terms(data)
+    want_terms, want_quaternion = _reference_terms(data)
+    assert [(subset, coeff, desc.entries) for subset, coeff, desc in terms] == want_terms
+    assert qdesc.entries == want_quaternion
 
 
 def test_ramified_data_validation():
@@ -64,13 +123,14 @@ def test_ramified_data_validation():
 
 def test_descriptor_constructions():
     data = RamifiedLevelData((2, 3), ((2, 2), (3, 1), (5, 1)))
-    full = GroupDescriptor.eichler(data, frozenset({2, 3}))
+    terms, q = relation_terms(data)
+    descs = {subset: desc for subset, _, desc in terms}
+    full = descs[(2, 3)]
     assert full.local_entry(2) == (OrderKind.M, 1)   # even level 2 -> f-level 1
     assert full.local_entry(3) == (OrderKind.M, 1)   # odd level 1 -> f-level 1
     assert full.local_entry(5) == (OrderKind.M, 1)
-    mixed = GroupDescriptor.eichler(data, frozenset({2}))
+    mixed = descs[(2,)]
     assert mixed.local_entry(3) == (OrderKind.J, 1)  # odd level 1 -> g-level 1
-    q = GroupDescriptor.quaternion(data)
     assert q.local_entry(2) == (OrderKind.D, 2)
     assert q.local_entry(5) == (OrderKind.M, 1)
     assert GroupDescriptor.principal(12).local_entry(2) == (OrderKind.M, 2)
@@ -84,11 +144,11 @@ def test_c_factors():
     assert group_c_factor(GroupDescriptor.principal(3)) == 1
     assert group_c_factor(GroupDescriptor.principal(4)) == 1
     data = RamifiedLevelData((2, 3))
-    assert group_c_factor(GroupDescriptor.quaternion(data)) == Fraction(1, 2)
+    assert group_c_factor(relation_terms(data)[1]) == Fraction(1, 2)
     data2 = RamifiedLevelData((2, 3), ((2, 2),))
-    assert group_c_factor(GroupDescriptor.quaternion(data2)) == Fraction(1, 2)
+    assert group_c_factor(relation_terms(data2)[1]) == Fraction(1, 2)
     data3 = RamifiedLevelData((2, 3), ((2, 3),))
-    assert group_c_factor(GroupDescriptor.quaternion(data3)) == 1
+    assert group_c_factor(relation_terms(data3)[1]) == 1
 
 
 def test_local_factor_tail_is_one():
@@ -150,7 +210,7 @@ def test_quaternion_vanishes_when_split_at_ramified_prime():
     data = RamifiedLevelData((2, 3))
     rep = dpsi_relation(data, 11)
     assert rep.dpsi_quaternion == 0.0
-    assert local_product(GroupDescriptor.quaternion(data), 11) == 0
+    assert local_product(relation_terms(data)[1], 11) == 0
 
 
 def test_psi_relation_report():
@@ -208,9 +268,9 @@ def test_relation_with_positive_exponents():
     # all-matrix term is the level-6 principal group, and the quaternion
     # side is sign-asymmetric (t = -34 fires, t = +34 does not)
     data = RamifiedLevelData((2, 3), ((2, 1), (3, 1)))
-    co = subset_coefficients(data)
-    assert co[frozenset()] == 6 and co[frozenset({2, 3})] == 2
-    assert group_c_factor(GroupDescriptor.quaternion(data)) == 1
+    co = _coefficients(data)
+    assert co[()] == 6 and co[(2, 3)] == 2
+    assert group_c_factor(relation_terms(data)[1]) == 1
     for t in (34, -34, 5, 74, 14, -14):
         rep = dpsi_relation(data, t)
         assert rep.exact_identity_ok and rep.matching_identity_ok, t
@@ -225,7 +285,7 @@ def test_relation_agrees_with_direct_quaternion_prediction():
     for data in (RamifiedLevelData((2, 3)),
                  RamifiedLevelData((2, 3), ((2, 1), (3, 1))),
                  RamifiedLevelData((2, 5), ((5, 2),))):
-        qdesc = GroupDescriptor.quaternion(data)
+        qdesc = relation_terms(data)[1]
         for t in (3, -3, 5, 7, 12, 14, -14, 34, -34):
             rel = dpsi_relation(data, t).dpsi_quaternion
             direct = predict_dpsi(qdesc, t)
@@ -272,7 +332,7 @@ def test_geodesic_c_factor_matches_group_membership():
 
 def test_factor_support_is_primes_of_discriminant_plus_descriptor():
     data = RamifiedLevelData((2, 3), ())
-    descs = [GroupDescriptor.eichler(data, I) for I in subset_coefficients(data)]
+    descs = [desc for _, _, desc in relation_terms(data)[0]]
     assert len(descs) == 4
     for at in range(3, 601):
         n, primes, d = at * at - 4, set(), 2
@@ -339,8 +399,9 @@ def _ratio_descriptors():
                  RamifiedLevelData((2, 3), ((2, 1), (3, 1))),
                  RamifiedLevelData((2, 11), ((2, 3),)),
                  RamifiedLevelData((3, 5, 7, 11))):
-        descs.extend(GroupDescriptor.eichler(data, I) for I in subset_coefficients(data))
-        descs.append(GroupDescriptor.quaternion(data))
+        terms, qdesc = relation_terms(data)
+        descs.extend(desc for _, _, desc in terms)
+        descs.append(qdesc)
     return descs
 
 
@@ -470,7 +531,7 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
     misses = local_factor.cache_info().misses
     needed = set()
     for data in datas:
-        for desc in (GroupDescriptor.eichler(data, I) for I in subset_coefficients(data)):
+        for _, _, desc in relation_terms(data)[0]:
             N = desc.principal_level()
             if N is not None and N <= MAX_SPLITTING_LEVEL:
                 continue

@@ -347,22 +347,27 @@ def test_coverage_reports_singular_sample_as_no_inverse(monkeypatch, memo):
     """A sample singular at the working precision is a no-inverse violation.
 
     The sampler keeps v(det) < M, so the singular matrix (1, 1, 1, 1) is fed
-    in through the sample stream, twice; every other sample is still
-    classified and witnessed.
+    in through the sample stream, twice, to all four decompositions; every
+    other sample is still classified and witnessed.
     """
     p, M, samples, seed = 3, 2, 40, 5
     monkeypatch.setattr(oracle, "_draws_repeat", lambda p, M, samples: memo)
-    clean = {kind: coset_coverage_nonsplit(kind, RAMIFIED, p, M, samples, seed)
-             for kind in (OrderKind.M, OrderKind.J)}
+
+    def four_decompositions():
+        kinds = (OrderKind.M, OrderKind.J)
+        return ([coset_coverage_split(kind, p, M, samples, seed) for kind in kinds]
+                + [coset_coverage_nonsplit(kind, RAMIFIED, p, M, samples, seed)
+                   for kind in kinds])
+
+    clean = four_decompositions()
     fed = list(oracle._coverage_samples(p, M, samples, seed))
     mod = p ** M
     fed[7] = fed[20] = ((mod + 1) * mod + 1) * mod + 1
     monkeypatch.setattr(oracle, "_coverage_samples", lambda *args: fed)
-    for kind, ref in clean.items():
+    for ref, got in zip(clean, four_decompositions()):
         assert ref.ok and ref.deep_witness_checked == samples
-        got = coset_coverage_nonsplit(kind, RAMIFIED, p, M, samples, seed)
         assert got.violations == [{"type": "no-inverse", "sample": 7},
-                                  {"type": "no-inverse", "sample": 20}]
+                                  {"type": "no-inverse", "sample": 20}], got.decomposition
         assert not got.ok
         assert sum(got.r_histogram.values()) == got.deep_witness_checked == samples - 2
         assert all(got.r_histogram[r] <= ref.r_histogram[r] for r in got.r_histogram)

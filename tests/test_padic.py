@@ -19,6 +19,7 @@ from geomatch.padic import (
     quad_order_unit_index,
     ramified_torus,
     sqrt,
+    sqrt_unit,
     split_torus,
     torus_generator,
     unramified_torus,
@@ -122,6 +123,21 @@ def test_sqrt_roundtrip():
         if is_square(d, ctx):
             r = sqrt(d, ctx)
             assert (r * r - d) % 7 ** 6 == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sqrt_of_a_nonsquare_unit_raises_value_error(p):
+    ctx = PAdicContext(p, 10)
+    squares = {y * y % p for y in range(1, p)}
+    for u in range(1, p):
+        if u in squares:
+            r = sqrt_unit(u, ctx)
+            assert (r * r - u) % ctx.modulus == 0
+        else:
+            with pytest.raises(ValueError):
+                sqrt_unit(u, ctx)
+            with pytest.raises(ValueError):
+                sqrt(u * p * p, ctx)
 
 
 def test_square_detection_against_bruteforce():
