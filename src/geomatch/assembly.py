@@ -47,6 +47,8 @@ from .padic import (
     torus_generator,
 )
 
+MAX_EXPONENT = 1000  # cost grows as the square of a level; at 1000 a relation stays near 0.1 s
+
 
 @dataclass(frozen=True)
 class RamifiedLevelData:
@@ -54,7 +56,7 @@ class RamifiedLevelData:
 
     ram must have even cardinality >= 2 (unramified at infinity); exponents
     is a finitely supported map prime -> level, which may also assign levels
-    at unramified primes.  No prime may appear twice in either.
+    at unramified primes, up to MAX_EXPONENT.  No prime may appear twice in either.
     """
 
     ram: tuple[int, ...]
@@ -71,8 +73,8 @@ class RamifiedLevelData:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         for p, n in exponents.items():
-            if not is_prime(p) or n < 0:
-                raise ValueError("exponents must map primes to levels >= 0")
+            if not is_prime(p) or not 0 <= n <= MAX_EXPONENT:
+                raise ValueError(f"exponents must map primes to levels 0 to {MAX_EXPONENT}")
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "exponents",
                            tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
@@ -268,21 +270,27 @@ def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
 
 
 def _relation_groups(data: RamifiedLevelData):
-    """((subset, coefficient, descriptor, c), ...) per Eichler term, and D's descriptor."""
+    """(groups, D's descriptor, float(c_D)), the floats formed once, not per trace.
+
+    One group per Eichler term: (subset, coeff, descriptor, float(c), float(coeff) * float(c)).
+    """
     terms, qdesc = relation_terms(data)
-    return tuple((s, c, desc, group_c_factor(desc)) for s, c, desc in terms), qdesc
+    cs = [float(group_c_factor(desc)) for _, _, desc in terms]
+    groups = tuple((s, coeff, desc, c, float(coeff) * c)
+                   for (s, coeff, desc), c in zip(terms, cs))
+    return groups, qdesc, float(group_c_factor(qdesc))
 
 
-def _trace_terms(groups, c_q: Fraction, t: int):
+def _trace_terms(groups, c_q: float, t: int):
     """([(dpsi, mode)] per Eichler term, dpsi_D) at trace t.
 
     dpsi_D is defined by c_D dpsi_D = sum_I coeff_I c_I dpsi_I.
     """
-    vals = [dpsi_value(desc, t) for _, _, desc, _ in groups]
+    vals = [dpsi_value(desc, t) for _, _, desc, _, _ in groups]
     rhs = 0.0
-    for (_, coeff, _, c), (val, _) in zip(groups, vals):
-        rhs += float(coeff) * float(c) * val
-    return vals, rhs / float(c_q)
+    for (_, _, _, _, coeff_c), (val, _) in zip(groups, vals):
+        rhs += coeff_c * val
+    return vals, rhs / c_q
 
 
 @dataclass(frozen=True)
@@ -310,11 +318,11 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     are checked as well: the subset expansion of the local products and the
     agreement with the quaternion-side local product.
     """
-    groups, qdesc = _relation_groups(data)
-    vals, dpsi_q = _trace_terms(groups, group_c_factor(qdesc), t)
+    groups, qdesc, c_q = _relation_groups(data)
+    vals, dpsi_q = _trace_terms(groups, c_q, t)
     terms = tuple(DpsiRelationTerm(subset, coeff, val, mode)
-                  for (subset, coeff, _, _), (val, mode) in zip(groups, vals))
-    subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc, _ in groups)
+                  for (subset, coeff, *_), (val, mode) in zip(groups, vals))
+    subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc, *_ in groups)
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
         kind, level = qdesc.local_entry(p)
@@ -362,19 +370,18 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     size = 2 ** len(data.ram) * 2 * (trace_bound(x) - 2)
     if size > ENUM_CAP:
         raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
-    groups, qdesc = _relation_groups(data)
-    c_q = group_c_factor(qdesc)
+    groups, _, c_q = _relation_groups(data)
     psi_terms = [0.0] * len(groups)
     per_trace = []
     for t in signed_traces(3, trace_bound(x)):
         weight = 2.0 * math.sqrt(abs(t) - 2)
         vals, dq = _trace_terms(groups, c_q, t)
-        for k, ((_, _, _, c), (val, _)) in enumerate(zip(groups, vals)):
-            psi_terms[k] += float(c) * weight * val
+        for k, ((_, _, _, c, _), (val, _)) in enumerate(zip(groups, vals)):
+            psi_terms[k] += c * weight * val
         per_trace.append((t, tuple(val for val, _ in vals), dq))
     # each term reports the mode of its last trace
     terms = tuple(PsiRelationTerm(subset, coeff, psi, mode)
-                  for (subset, coeff, _, _), psi, (_, mode) in zip(groups, psi_terms, vals))
+                  for (subset, coeff, *_), psi, (_, mode) in zip(groups, psi_terms, vals))
     psi_q = 0.0
     for term in terms:
         psi_q += float(term.coefficient) * term.psi
@@ -382,7 +389,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
         x=float(x),
         psi_quaternion=psi_q,
         terms=terms,
-        coefficient_sum=sum(coeff for _, coeff, _, _ in groups),
+        coefficient_sum=sum(coeff for _, coeff, *_ in groups),
         error=psi_q - float(x),
         bound_7_10=float(x) ** 0.7,
         per_trace=tuple(per_trace),

@@ -9,6 +9,7 @@ Only coverage, which draws samples, takes --seed; only classes, spectrum and
 report, which write a table, take --format.  The others report seed 0 and
 json.  coverage exits 3 above M = 56 (over 2^20 split axis points), and
 exits 64 on an explicit --torus for split-M or split-J, which use no torus.
+relation exits 64 on an --exponents level above 1000 (assembly.MAX_EXPONENT).
 spectrum and report exit 3 on a grid of more than 2^20 x values.
 """
 

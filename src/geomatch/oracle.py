@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -281,26 +281,27 @@ def iwahori_level_zero_missing(torus: TorusData) -> bool:
     return True
 
 
+def _odd_component_factor(candidates: Iterable[MatElt]) -> int:
+    """1 if some candidate is in K_J at odd exact radical level (so in pi J^x), else 2."""
+    for x in candidates:
+        try:
+            if in_normalizer(OrderKind.J, x) and exact_radical_level(OrderKind.J, x) % 2:
+                return 1
+        except PrecisionExhausted:
+            continue
+    return 2
+
+
+@lru_cache(maxsize=None)
 def iwahori_side_factor(emb: MatrixEmbedding) -> int:
     """2 unless the embedded torus meets the odd component of K_J.
 
-    Scans a coordinate grid; a hit in pi J^x (odd exact radical level equal
-    to the determinant valuation) collapses the factor to 1.
+    Scans the units alpha + beta theta0 with alpha, beta mod p^2, once per embedding.
     """
-    ctx = emb.torus.ctx
-    p = ctx.p
-    for alpha in range(p * p):
-        for beta in range(p * p):
-            if alpha % p == 0 and beta % p == 0:
-                continue
-            try:
-                x = emb.of_coords(alpha, beta)
-                if in_normalizer(OrderKind.J, x) and \
-                        exact_radical_level(OrderKind.J, x) % 2 == 1:
-                    return 1
-            except PrecisionExhausted:
-                continue
-    return 2
+    p = emb.torus.ctx.p
+    return _odd_component_factor(emb.of_coords(alpha, beta) for alpha, beta
+                                 in itertools.product(range(p * p), repeat=2)
+                                 if alpha % p or beta % p)
 
 
 def split_side_factor(torus: TorusData, kind: OrderKind) -> int:
@@ -310,79 +311,69 @@ def split_side_factor(torus: TorusData, kind: OrderKind) -> int:
     """
     if kind is OrderKind.M:
         return 1
-    ctx = torus.ctx
-    p = ctx.p
-    for i in range(4):
-        for j in range(4):
-            x = MatElt.from_rows(ctx, ((p ** i, 0), (0, p ** j)))
-            try:
-                if in_normalizer(OrderKind.J, x) and \
-                        exact_radical_level(OrderKind.J, x) % 2 == 1:
-                    return 1
-            except PrecisionExhausted:
-                continue
-    return 2
+    ctx, p = torus.ctx, torus.ctx.p
+    return _odd_component_factor(MatElt.from_rows(ctx, ((p ** i, 0), (0, p ** j)))
+                                 for i in range(4) for j in range(4))
 
 
 # ---------------------------------------------------------------------------
 # the brute-force orbital integral
 
 
+def _cosets(kind: OrderKind, x: RegularElement, r_max: int | None) -> Iterator[tuple]:
+    """(r, side factor, volume ratio, element tested for U^n) per coset, r increasing.
+
+    Split tori: T n(p^-r) K_O, r = 0..r_max.  Field tori: the optimal embeddings
+    of level r_min..r_max (r_min = 1 for J on an unramified torus).  D: one coset.
+    """
+    torus = x.torus
+    p = torus.ctx.p
+    if kind is OrderKind.D:
+        demb = division_embedding(torus, DivisionModel(torus.ctx))
+        yield 0, 1 if exact_radical_level(OrderKind.D, demb.xi) % 2 else 2, 1, demb.of(x)
+    elif torus.kind == SPLIT:
+        side = split_side_factor(torus, kind)
+        for r in range(r_max + 1):
+            ratio = 1 if r == 0 else enum_unit_filtration_index(p, r)
+            yield r, side, ratio, split_conjugate(torus, x, r)
+    else:
+        r_min = int(kind is OrderKind.J and torus.kind == UNRAMIFIED)
+        if r_min and not iwahori_level_zero_missing(torus):
+            raise AssertionError("unexpected level-0 Iwahori embedding")
+        for r in range(r_min, r_max + 1):
+            emb = checked_embedding(torus, kind, r)
+            ratio = enum_quad_order_index(torus, r)
+            side = iwahori_side_factor(emb) if kind is OrderKind.J else 1
+            yield r, side, ratio, emb.of(x)
+
+
 def oracle_orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
-    """Coset-by-coset recomputation of the orbital integral.
+    """Coset-by-coset recomputation: sum of side * ratio * [O^x : U^n] over the cosets in U^n.
 
     Volumes come from enumerated indices; indicators from explicit matrix or
     quaternion congruence membership.  The term one past the truncation bound
     is evaluated and asserted to vanish.
     """
-    torus = x.torus
+    torus, kind, n = x.torus, spec.kind, spec.n
     ctx = torus.ctx
-    p = ctx.p
-    n = spec.n
-    if torus.kind == SPLIT:
-        if spec.kind is OrderKind.D:
+    if kind is OrderKind.D:
+        if torus.kind == SPLIT:
             return Fraction(0)
-        r_max = x.val_gap() + 1
-        if r_max + n + GUARD >= ctx.M:
-            raise PrecisionExhausted("raise M: split truncation bound too close")
-        side = split_side_factor(torus, spec.kind)
-        unit_index = enum_order_unit_index(spec.kind, p, n)
-        value = Fraction(0)
-        for r in range(r_max + 1):
-            ratio = 1 if r == 0 else enum_unit_filtration_index(p, r)
-            ind = congruence_subgroup_membership(spec.kind, split_conjugate(torus, x, r), n)
-            if r == r_max and ind:
-                raise AssertionError("split coset sum failed to truncate")
-            if ind:
-                value += side * ratio * unit_index
-    elif spec.kind is OrderKind.D:
-        demb = division_embedding(torus, DivisionModel(ctx))
-        side = 1 if exact_radical_level(OrderKind.D, demb.xi) % 2 else 2
-        ind = congruence_subgroup_membership(OrderKind.D, demb.of(x), n)
-        value = Fraction(side * enum_order_unit_index(OrderKind.D, p, n)) if ind \
-            else Fraction(0)
+        which, r_max = "division", None  # one coset, nothing to truncate
     else:
-        r_max = x.conductor() + 1
+        which, r_max = ("split", x.val_gap() + 1) if torus.kind == SPLIT \
+            else ("field", x.conductor() + 1)
         if r_max + n + GUARD >= ctx.M:
-            raise PrecisionExhausted("raise M: field truncation bound too close")
-        r_min = 0
-        if spec.kind is OrderKind.J and torus.kind == UNRAMIFIED:
-            if not iwahori_level_zero_missing(torus):
-                raise AssertionError("unexpected level-0 Iwahori embedding")
-            r_min = 1
-        unit_index = enum_order_unit_index(spec.kind, p, n)
-        value = Fraction(0)
-        for r in range(r_min, r_max + 1):
-            emb = checked_embedding(torus, spec.kind, r)
-            ratio = enum_quad_order_index(torus, r)
-            side = iwahori_side_factor(emb) if spec.kind is OrderKind.J else 1
-            ind = congruence_subgroup_membership(spec.kind, emb.of(x), n)
-            if r == r_max and ind:
-                raise AssertionError("field coset sum failed to truncate")
-            if ind:
-                value += side * ratio * unit_index
+            raise PrecisionExhausted(f"raise M: {which} truncation bound too close")
+    unit_index = enum_order_unit_index(kind, ctx.p, n)
+    value = Fraction(0)
+    for r, side, ratio, element in _cosets(kind, x, r_max):
+        if congruence_subgroup_membership(kind, element, n):
+            if r == r_max:
+                raise AssertionError(f"{which} coset sum failed to truncate")
+            value += side * ratio * unit_index
     if spec.include_norm_index:
-        _, index = enum_norm_image(spec.kind, p, n)
+        _, index = enum_norm_image(kind, ctx.p, n)
         value /= index
     return value
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomatch.assembly import (
+    MAX_EXPONENT,
     GroupDescriptor,
     RamifiedLevelData,
     dpsi_relation,
@@ -119,6 +120,12 @@ def test_ramified_data_validation():
         RamifiedLevelData((2, 3, 3))
     with pytest.raises(ValueError):
         RamifiedLevelData((2, 3), ((2, 1), (2, 0)))
+    # levels are capped, at ramified and unramified primes alike
+    assert RamifiedLevelData((2, 3), ((2, MAX_EXPONENT), (5, MAX_EXPONENT))).exponents == \
+        ((2, MAX_EXPONENT), (5, MAX_EXPONENT))
+    for p in (2, 5):
+        with pytest.raises(ValueError, match=f"levels 0 to {MAX_EXPONENT}"):
+            RamifiedLevelData((2, 3), ((p, MAX_EXPONENT + 1),))
 
 
 def test_descriptor_constructions():

@@ -38,6 +38,11 @@ def test_usage_errors(tmp_path, capsys):
     # a repeated prime is refused, not merged behind an echo of the raw input
     assert main(["relation", "--ramified", "2,3,3"]) == EXIT_USAGE
     assert main(["relation", "--ramified", "2,3", "--exponents", "2=1,2=0"]) == EXIT_USAGE
+    # a level above MAX_EXPONENT fails at once: 2=30000 used to run for about 10 s
+    for exps in ("2=1001", "5=30000"):
+        t0 = time.perf_counter()
+        assert main(["relation", "--ramified", "2,3", "--exponents", exps]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1.0, exps
     # inputs that would certify or count nothing
     assert main(["coverage", "--samples", "0", "--M", "2"]) == EXIT_USAGE
     assert main(["coverage", "--samples", "-5"]) == EXIT_USAGE

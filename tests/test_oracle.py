@@ -22,7 +22,17 @@ from geomatch.oracle import (
     radical_intersection_test,
     verify_embedding_optimal,
 )
-from geomatch.orders import MatElt, MatrixEmbedding, OrderKind, norm_image_level, order_unit_index
+from geomatch.orders import (
+    DivisionModel,
+    MatElt,
+    MatrixEmbedding,
+    OrderKind,
+    division_embedding,
+    exact_radical_level,
+    in_normalizer,
+    norm_image_level,
+    order_unit_index,
+)
 from geomatch.padic import (
     EnumerationTooLarge,
     PAdicContext,
@@ -453,3 +463,100 @@ def test_checked_embedding_verifies_each_embedding_once(monkeypatch):
     assert first == MatrixEmbedding(torus, OrderKind.M, 2)
     assert len(calls) == 1
     oracle.checked_embedding.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the coset sum's guards and its side factors
+
+
+def test_oracle_precision_guard_on_split_and_field_tori():
+    # r_max + n + GUARD >= M raises: r_max = v(a - b) + 1 (split), v(beta) + 1 (field)
+    spec = TestFunctionSpec(OrderKind.M, 1)
+    split = split_torus(2, 12)
+    oracle_orbital(spec, split.element(1 + 2 ** 7, 1))  # 8 + 1 + 2 < 12
+    with pytest.raises(PrecisionExhausted, match="split truncation bound"):
+        oracle_orbital(spec, split.element(1 + 2 ** 8, 1))
+    field = unramified_torus(3, 12)
+    oracle_orbital(spec, field.element(1, 3 ** 7))
+    with pytest.raises(PrecisionExhausted, match="field truncation bound"):
+        oracle_orbital(spec, field.element(1, 3 ** 8))
+
+
+@pytest.mark.parametrize("torus, message", [
+    (split_torus(2, 12), "split coset sum failed to truncate"),
+    (unramified_torus(3, 12), "field coset sum failed to truncate"),
+    (ramified_torus(2, 12), "field coset sum failed to truncate"),
+])
+def test_oracle_truncation_assertion(monkeypatch, torus, message):
+    # a U^n hit one past the truncation bound is a fault, not a term
+    monkeypatch.setattr(oracle, "congruence_subgroup_membership", lambda *args: True)
+    for kind in (OrderKind.M, OrderKind.J):
+        with pytest.raises(AssertionError, match=message):
+            oracle_orbital(TestFunctionSpec(kind, 1), torus.element(3, 1))
+
+
+@pytest.mark.parametrize("torus", [unramified_torus(3, 12), ramified_torus(2, 12)])
+def test_oracle_division_coset_has_nothing_to_truncate(monkeypatch, torus):
+    monkeypatch.setattr(oracle, "congruence_subgroup_membership", lambda *args: True)
+    p = torus.ctx.p
+    xi = division_embedding(torus, DivisionModel(torus.ctx)).xi
+    side = 1 if exact_radical_level(OrderKind.D, xi) % 2 else 2
+    for n in (1, 2):
+        got = oracle_orbital(TestFunctionSpec(OrderKind.D, n), torus.element(3, 1))
+        assert got == side * enum_order_unit_index(OrderKind.D, p, n)
+
+
+def _reference_iwahori_side_factor(emb):
+    """The coordinate-grid scan for the odd component of K_J, as first written."""
+    p = emb.torus.ctx.p
+    for alpha in range(p * p):
+        for beta in range(p * p):
+            if alpha % p == 0 and beta % p == 0:
+                continue
+            try:
+                x = emb.of_coords(alpha, beta)
+                if in_normalizer(OrderKind.J, x) and \
+                        exact_radical_level(OrderKind.J, x) % 2 == 1:
+                    return 1
+            except PrecisionExhausted:
+                continue
+    return 2
+
+
+def _reference_split_side_factor(torus, kind):
+    """The diag(p^i, p^j) scan for the odd component of K_J, as first written."""
+    if kind is OrderKind.M:
+        return 1
+    ctx = torus.ctx
+    p = ctx.p
+    for i in range(4):
+        for j in range(4):
+            x = MatElt.from_rows(ctx, ((p ** i, 0), (0, p ** j)))
+            try:
+                if in_normalizer(OrderKind.J, x) and \
+                        exact_radical_level(OrderKind.J, x) % 2 == 1:
+                    return 1
+            except PrecisionExhausted:
+                continue
+    return 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_side_factors_share_one_scan(p):
+    tori = [unramified_torus(p, 12), ramified_torus(p, 12)]
+    if p == 2:
+        tori.append(ramified_torus_2nonsplit(12))
+    seen = set()
+    for torus in tori:
+        for level in range(0, 5):
+            if level == 0 and torus.kind == UNRAMIFIED:
+                continue
+            emb = MatrixEmbedding(torus, OrderKind.J, level)
+            got = oracle.iwahori_side_factor(emb)
+            assert got == _reference_iwahori_side_factor(emb), (torus.kind, level)
+            seen.add(got)
+    split = split_torus(p, 12)
+    for kind in (OrderKind.M, OrderKind.J):
+        assert oracle.split_side_factor(split, kind) == \
+            _reference_split_side_factor(split, kind)
+    assert seen == {1, 2}  # both outcomes of the field scan are reached
