@@ -10,10 +10,10 @@ factors to Gamma(1)'s at its own primes, where all the others agree.  The
 quaternion side's dpsi is defined through the matched combination.
 
 A local factor reads the trace only through its local type at p
-(padic.local_type: the torus kind and v_p(t - 2), v_p(t + 2)), so factors
-and their exact ratios to Gamma(1)'s are cached per (kind, level, local
-type), and one canonical element is built per key, at the first trace of
-that type met.
+(padic.local_type: the torus kind and v_p(t - 2), v_p(t + 2)).  The closed
+forms are evaluated at the type itself, with no p-adic element built, and
+factors and their exact ratios to Gamma(1)'s are cached per (kind, level,
+local type).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from .geodesics import (
     MAX_SPLITTING_LEVEL, c_factor, dpsi_enumerated, signed_traces, trace_bound,
 )
-from .integrals import matching_combination, orbital, TestFunctionSpec
+from .integrals import matched_value, matching_combination, orbital, TestFunctionSpec
 from .orders import (
     DivisionModel,
     MatElt,
@@ -38,13 +38,9 @@ from .padic import (
     EnumerationTooLarge,
     LocalType,
     PAdicContext,
-    PrecisionExhausted,
-    classify_torus,
-    default_precision,
     factorize,
     is_prime,
     local_type,
-    torus_generator,
 )
 
 MAX_EXPONENT = 1000  # cost grows as the square of a level; at 1000 a relation stays near 0.1 s
@@ -171,30 +167,16 @@ def group_c_factor(desc: GroupDescriptor) -> Fraction:
 def local_factor(kind: OrderKind, level: int, lt: LocalType) -> Fraction:
     """Normalized local orbital integral at the canonical element of local type lt.
 
-    Includes the norm-index prefactor; returns an exact rational.  The value
-    depends on the trace only through its local type (padic.local_type), so
-    the element is built once per key, at the representative trace lt.t, at
-    precision default_precision(lt.t, lt.p) + level, which is doubled after
-    each PrecisionExhausted, six tries in all.
+    Exact, with the norm-index prefactor.  orbital reads lt as it would read
+    that element, so no element is built and no precision is chosen.
     """
-    t, p = lt.t, lt.p
-    spec = TestFunctionSpec(kind, level, include_norm_index=True)
-    M = default_precision(t, p) + level
-    for _ in range(6):
-        try:
-            return orbital(spec, torus_generator(classify_torus(t, p, M), t))
-        except PrecisionExhausted:
-            M *= 2
-    raise PrecisionExhausted(f"local factor at p={p}, t={t} needs more than M={M}")
+    return orbital(TestFunctionSpec(kind, level, True), lt)
 
 
 @lru_cache(maxsize=None)
-def matched_local_factor(level: int, t: int, p: int) -> Fraction:
-    """a_p O(f) + b_p O(g) at the canonical trace-t element (norm-indexed)."""
-    combo = matching_combination(p, level)
-    lt = local_type(t, p)
-    return (combo.coeff_f * local_factor(OrderKind.M, combo.f_level, lt)
-            + combo.coeff_g * local_factor(OrderKind.J, combo.g_level, lt))
+def matched_local_factor(level: int, lt: LocalType) -> Fraction:
+    """a_p O(f) + b_p O(g) at the canonical element of local type lt (norm-indexed)."""
+    return matched_value(level, lt, include_norm_index=True)
 
 
 @lru_cache(maxsize=None)
@@ -326,10 +308,11 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
         kind, level = qdesc.local_entry(p)
+        lt = local_type(t, p)
         if kind is OrderKind.D:
-            matched *= matched_local_factor(level, t, p)
+            matched *= matched_local_factor(level, lt)
         else:
-            matched *= local_factor(kind, level, local_type(t, p))
+            matched *= local_factor(kind, level, lt)
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
     return DpsiRelationReport(t, dpsi_q, terms, exact_ok, matching_ok)

@@ -21,10 +21,15 @@ from functools import lru_cache
 
 from .orders import OrderKind, norm_image_level
 from .padic import (
+    LocalType,
     RegularElement,
     SPLIT,
     unit_filtration_index,
 )
+
+# what the closed forms read: q, e, kind, is_unit, val_gap, conductor and
+# in_unit_filtration, off an element's coordinates or off t's valuations
+Point = RegularElement | LocalType
 
 
 @dataclass(frozen=True)
@@ -49,19 +54,19 @@ def _geometric_power_sum(q: int, rmax: int) -> int:
     return (q ** (rmax + 1) - q) // (q - 1)
 
 
-def _split_f(x: RegularElement, n: int) -> Fraction:
+def _split_f(x: Point, n: int) -> Fraction:
     """Orbital integral of f_n at a split regular pair (a, b).
 
     1_{U^n}(a) 1_{U^n}(b) / |a-b| times 1 (n = 0) or q^(3n-3)(q-1)^2(q+1).
     """
     if not x.in_unit_filtration(n):
         return Fraction(0)
-    q = x.ctx.q
+    q = x.q
     const = 1 if n == 0 else q ** (3 * n - 3) * (q - 1) ** 2 * (q + 1)
     return Fraction(const * q ** x.val_gap())
 
 
-def _split_g(x: RegularElement, n: int) -> Fraction:
+def _split_g(x: Point, n: int) -> Fraction:
     """Orbital integral of g_n at a split regular pair (a, b).
 
     2 * 1_{U^ceil(n/2)}(a) 1_{U^ceil(n/2)}(b) / |a-b| times
@@ -70,17 +75,17 @@ def _split_g(x: RegularElement, n: int) -> Fraction:
     k = (n + 1) // 2
     if not x.in_unit_filtration(k):
         return Fraction(0)
-    q = x.ctx.q
+    q = x.q
     const = 1 if n == 0 else q ** (n + k - 2) * (q - 1) ** 2
     return Fraction(2 * const * q ** x.val_gap())
 
 
-def _division(x: RegularElement, n: int) -> Fraction:
+def _division(x: Point, n: int) -> Fraction:
     """Orbital integral of phi_n at a regular element of a field torus.
 
     (2/e) * 1_{U_E^ceil(en/2)}(x) times 1 (n = 0) or q^(2n)(1 - q^-2).
     """
-    q, e = x.ctx.q, x.torus.e
+    q, e = x.q, x.e
     if not x.in_unit_filtration((e * n + 1) // 2):
         return Fraction(0)
     const = Fraction(1) if n == 0 else Fraction(q ** (2 * n)) * (1 - Fraction(1, q * q))
@@ -92,33 +97,34 @@ def _ce(q: int, e: int) -> Fraction:
     return (1 - Fraction(1, q * q)) / (1 - Fraction(1, q ** e))
 
 
-def _nonsplit_f(x: RegularElement, n: int) -> Fraction:
+def _nonsplit_f(x: Point, n: int) -> Fraction:
     """Orbital integral of f_n at a regular element of a field torus.
 
     The quadratic-order coset sum is finite: the r-th term survives iff
-    v(alpha-1) >= n and v(beta) >= n + r, so r runs to v(beta) - n.
+    v(alpha-1) >= n and v(beta) >= n + r, so every term needs x in U_E^(en)
+    and r runs to v(beta) - n.
     """
-    ctx, q, e = x.ctx, x.ctx.q, x.torus.e
+    q, e = x.q, x.e
     ce = _ce(q, e)
     if n == 0:
         if not x.is_unit():
             return Fraction(0)
         return 1 + ce * _geometric_power_sum(q, x.conductor())
-    if not ctx.val_at_least(x.alpha - 1, n):
+    if not x.in_unit_filtration(e * n):
         return Fraction(0)
-    head = 1 if ctx.val_at_least(x.beta, n) else 0
-    braces = head + ce * _geometric_power_sum(q, x.conductor() - n)
+    braces = 1 + ce * _geometric_power_sum(q, x.conductor() - n)
     return braces * Fraction(q ** (4 * n)) * (1 - Fraction(1, q)) * (1 - Fraction(1, q * q))
 
 
-def _nonsplit_g(x: RegularElement, n: int) -> Fraction:
+def _nonsplit_g(x: Point, n: int) -> Fraction:
     """Orbital integral of g_n at a regular element of a field torus.
 
     The ramified-only head is 1_{e=2} 1_{U_E^n}(x); the r-th coset term uses
     the order index shifted by one for odd n, so r runs to
-    v(beta) - ceil(n/2) + (n odd).
+    v(beta) - ceil(n/2) + (n odd), and the sum is empty unless x is in
+    U_E^(e ceil(n/2)).
     """
-    ctx, q, e = x.ctx, x.ctx.q, x.torus.e
+    q, e = x.q, x.e
     ce = _ce(q, e)
     if n == 0:
         if not x.is_unit():
@@ -128,7 +134,7 @@ def _nonsplit_g(x: RegularElement, n: int) -> Fraction:
     k = (n + 1) // 2
     head = Fraction(1) if (e == 2 and x.in_unit_filtration(n)) else Fraction(0)
     tail = Fraction(0)
-    if ctx.val_at_least(x.alpha - 1, k):
+    if x.in_unit_filtration(e * k):
         rmax = x.conductor() - k + (n % 2)
         tail = 2 * ce * _geometric_power_sum(q, rmax)
     return (head + tail) * Fraction(q ** (2 * n)) * (1 - Fraction(1, q)) ** 2
@@ -144,18 +150,18 @@ _CLOSED_FORMS = {
 }
 
 
-def orbital(spec: TestFunctionSpec, x: RegularElement) -> Fraction:
+def orbital(spec: TestFunctionSpec, x: Point) -> Fraction:
     """The closed-form value of spec at x, an exact Fraction.
 
     With spec.include_norm_index the value is divided by [o^x : U_o^m], m the
     level of the det/nu image of U^n.
     """
-    split = x.torus.kind == SPLIT
+    split = x.kind == SPLIT
     if spec.kind is OrderKind.D and split:
         return Fraction(0)
     val = _CLOSED_FORMS[spec.kind, split](x, spec.n)
     if spec.include_norm_index:
-        val /= unit_filtration_index(x.ctx.q, norm_image_level(spec.kind, spec.n))
+        val /= unit_filtration_index(x.q, norm_image_level(spec.kind, spec.n))
     return val
 
 
@@ -216,16 +222,16 @@ class MatchReport:
         return self.lhs == self.rhs
 
 
-def matched_value(n: int, x: RegularElement,
+def matched_value(n: int, x: Point,
                   include_norm_index: bool = False) -> Fraction:
     """a * O(f_{n1}) + b * O(g_{n2}) at x, the matrix side of the matching."""
-    combo = matching_combination(x.ctx.q, n)
+    combo = matching_combination(x.q, n)
     vf = orbital(TestFunctionSpec(OrderKind.M, combo.f_level, include_norm_index), x)
     vg = orbital(TestFunctionSpec(OrderKind.J, combo.g_level, include_norm_index), x)
     return combo.coeff_f * vf + combo.coeff_g * vg
 
 
-def verify_matching(n: int, x: RegularElement,
+def verify_matching(n: int, x: Point,
                     include_norm_index: bool = False) -> MatchReport:
     """Compare the matrix-side combination against the division side at x.
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .integrals import TestFunctionSpec
 from .orders import (
+    DivisionEmbedding,
     DivisionModel,
     MatElt,
     MatrixEmbedding,
@@ -252,6 +253,7 @@ def checked_embedding(torus: TorusData, kind: OrderKind, level: int) -> MatrixEm
     return emb
 
 
+@lru_cache(maxsize=None)
 def iwahori_level_zero_missing(torus: TorusData) -> bool:
     """Verify no level-0 Iwahori embedding exists for an unramified torus.
 
@@ -316,6 +318,13 @@ def split_side_factor(torus: TorusData, kind: OrderKind) -> int:
                                  for i in range(4) for j in range(4))
 
 
+@lru_cache(maxsize=None)
+def _division_coset(torus: TorusData) -> tuple[DivisionEmbedding, int]:
+    """D's one coset per torus: the embedding, and the side factor from xi's parity."""
+    demb = division_embedding(torus, DivisionModel(torus.ctx))
+    return demb, 1 if exact_radical_level(OrderKind.D, demb.xi) % 2 else 2
+
+
 # ---------------------------------------------------------------------------
 # the brute-force orbital integral
 
@@ -329,8 +338,8 @@ def _cosets(kind: OrderKind, x: RegularElement, r_max: int | None) -> Iterator[t
     torus = x.torus
     p = torus.ctx.p
     if kind is OrderKind.D:
-        demb = division_embedding(torus, DivisionModel(torus.ctx))
-        yield 0, 1 if exact_radical_level(OrderKind.D, demb.xi) % 2 else 2, 1, demb.of(x)
+        demb, side = _division_coset(torus)
+        yield 0, side, 1, demb.of(x)
     elif torus.kind == SPLIT:
         side = split_side_factor(torus, kind)
         for r in range(r_max + 1):

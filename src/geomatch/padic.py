@@ -3,7 +3,7 @@
 Elements are plain integers stored modulo p^M.  A context carries the prime
 and the working precision M; the top GUARD digits are a guard band: any
 valuation that would depend on digits above M - GUARD raises
-PrecisionExhausted, and the caller retries at doubled precision.  Nothing here is symbolic; everything reduces to residue
+PrecisionExhausted.  Nothing here is symbolic; everything reduces to residue
 arithmetic plus Hensel lifting.
 """
 
@@ -71,11 +71,7 @@ def integer_valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PAdicContext:
-    """Residue ring Z/p^M; valuations are exact only below M - GUARD.
-
-    q is the residue field size, which equals p since only Q_p base fields
-    are supported.
-    """
+    """Residue ring Z/p^M; valuations are exact only below M - GUARD."""
 
     p: int
     M: int
@@ -85,10 +81,6 @@ class PAdicContext:
             raise ValueError(f"p = {self.p} is not prime")
         if self.M < 1:
             raise ValueError("precision M must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p
 
     @cached_property
     def modulus(self) -> int:
@@ -267,6 +259,18 @@ class RegularElement:
     def ctx(self) -> PAdicContext:
         return self.torus.ctx
 
+    @property
+    def q(self) -> int:
+        return self.torus.ctx.p  # the residue field size: every base field is Q_p
+
+    @property
+    def e(self) -> int:
+        return self.torus.e
+
+    @property
+    def kind(self) -> str:
+        return self.torus.kind
+
     # split accessors
     @property
     def a(self) -> int:
@@ -318,7 +322,7 @@ class RegularElement:
         if n <= 0:
             return self.is_unit()
         one = 1 if self.torus.kind == SPLIT else 0  # second coordinate of the identity
-        ctx, e, (c0, c1) = self.ctx, self.torus.e, self.coords
+        ctx, e, (c0, c1) = self.ctx, self.e, self.coords
         return ctx.val_at_least(c0 - 1, -(-n // e)) and ctx.val_at_least(c1 - one, n // e)
 
 
@@ -385,32 +389,54 @@ def classify_torus(t: int, p: int, M: int | None = None) -> TorusData:
     return _unramified_torus(ctx)
 
 
-class _LocalTypeFields(NamedTuple):
+class LocalType(NamedTuple):
+    """The local type of t at p (see local_type), read as the canonical root x.
+
+    Each method answers what the closed forms ask of x, with v = v(t^2 - 4).
+    """
+
     p: int
     torus: str
     v_minus: int  # v_p(t - 2)
     v_plus: int  # v_p(t + 2)
 
+    @property
+    def q(self) -> int:
+        return self.p
 
-class LocalType(_LocalTypeFields):
-    """What the local factors of a hyperbolic trace t at p depend on.
+    @property
+    def e(self) -> int:
+        return 2 if self.torus == RAMIFIED else 1
 
-    The tuple (p, torus, v_minus, v_plus): the torus kind of
-    Q_p[X]/(X^2 - t X + 1) and the valuations v_p(t - 2), v_p(t + 2); see
-    local_type.  t rides along outside the tuple as a representative trace
-    and takes no part in equality or hashing, so two traces of one type make
-    one cache key, hashed and compared by the tuple's own C code.
-    """
+    @property
+    def kind(self) -> str:
+        return self.torus
 
-    t: int  # in the instance dict: a tuple subclass cannot add slots
+    def is_unit(self) -> bool:
+        return True  # N(x) = 1
 
-    def __new__(cls, p: int, torus: str, v_minus: int, v_plus: int, t: int) -> "LocalType":
-        lt = tuple.__new__(cls, (p, torus, v_minus, v_plus))
-        lt.t = t
-        return lt
+    def val_gap(self) -> int:
+        """Split: v(a - b) = v/2, as (a - b)^2 = t^2 - 4."""
+        return (self.v_minus + self.v_plus) // 2
 
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__, with t
-        return (*self, self.t)
+    def conductor(self) -> int:
+        """Field: v(beta) = (v - d)/2, as beta^2 (T^2 - 4N) = t^2 - 4.
+
+        d = v(T^2 - 4N) is 0 unramified, 1 ramified at odd p, and 3 or 2 at
+        p = 2 as v is odd or even, which (v - 2)//2 rounds to.
+        """
+        d = 0 if self.torus == UNRAMIFIED else 1 if self.p != 2 else 2
+        return (self.v_minus + self.v_plus - d) // 2
+
+    def in_unit_filtration(self, n: int) -> bool:
+        """Whether x is in U_E^n, read off (x - 1)(1/x - 1) = 2 - t.
+
+        Split: min(v(a - 1), v(b - 1)) is v(a - b) = v/2 if they differ, and
+        v(t - 2)/2 if they agree.  Field: v_E(x - 1) = e v(t - 2)/2.
+        """
+        if self.torus == SPLIT:
+            return min(self.v_minus // 2, self.val_gap()) >= n
+        return self.e * self.v_minus >= 2 * n
 
 
 @lru_cache(maxsize=None)
@@ -420,34 +446,9 @@ def local_type(t: int, p: int) -> LocalType:
     t^2 - 4 = (t - 2)(t + 2) has valuation v = v(t - 2) + v(t + 2) and unit
     part u.  The torus is split when v is even and u a square, ramified when
     v is odd or p = 2 and u = 3 mod 4, and unramified otherwise, as in
-    classify_torus.
-
-    Every normalized local factor at t (integrals.orbital at the canonical
-    root x of X^2 - t X + 1) is a function of the type.  The closed forms
-    read q = p, the torus kind (so e, and f = 2/e on field tori), and the
-    invariants below, each fixed by v(t - 2) and v(t + 2):
-
-    * Split, x = (a, b).  ab = 1 and a + b = t give (a - 1)(b - 1) = 2 - t
-      and (a - b)^2 = t^2 - 4, so val_gap = v(a - b) = v/2.  If v(a - 1) and
-      v(b - 1) differ, their minimum is v((a - 1) - (b - 1)) = v/2; if they
-      agree, both are v(t - 2)/2 <= v/2.  So min(v(a - 1), v(b - 1)) =
-      min(v(t - 2)/2, v/2), which is all in_unit_filtration reads.
-    * Field, x = alpha + beta theta0.  x - 1 and its conjugate have the same
-      E-valuation and product N(x - 1) = 2 - t, so v_E(x - 1) = v(t - 2)/f,
-      which is all in_unit_filtration reads.  torus_generator solves
-      beta^2 (T^2 - 4N) = t^2 - 4, so conductor() = v(beta) =
-      (v - v(T^2 - 4N))/2, where v(T^2 - 4N) is 0 on unramified tori, 1 on
-      ramified ones at odd p, and 3 or 2 at p = 2 as v is odd or even.
-    * Level-n forms on field tori also test v(alpha - 1) >= m directly
-      (m = n for f_n, m = ceil(n/2) for g_n), but the terms they keep vanish
-      unless v(beta) >= m, so the value does not depend on v(alpha - 1) when
-      v(beta) < m.  When v(beta) >= m, e v(beta) + e - 1 >= e m and
-      v_E(x - 1) = min(e v(alpha - 1), e v(beta) + e - 1), so the test is
-      v_E(x - 1) >= e m, that is v(t - 2) >= e f m = 2m.
-    * is_unit reads N(x) = 1.
-
-    default_precision(t, p) reads only v(t - 2) and v(t + 2), so it is a
-    function of the type as well.
+    classify_torus.  Every normalized local factor at t (integrals.orbital
+    at the canonical root of X^2 - t X + 1) is a function of the type: the
+    closed forms read only what LocalType's methods give.
     """
     if abs(t) <= 2:
         raise NonHyperbolicTrace(f"|t| = {abs(t)} <= 2")
@@ -460,7 +461,7 @@ def local_type(t: int, p: int) -> LocalType:
         torus = SPLIT
     else:
         torus = UNRAMIFIED
-    return LocalType(p, torus, v_minus, v_plus, t)
+    return LocalType(p, torus, v_minus, v_plus)
 
 
 def torus_generator(torus: TorusData, t: int) -> RegularElement:

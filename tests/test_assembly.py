@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from geomatch.assembly import (
 from geomatch.geodesics import dpsi_enumerated, psi_enumerated, trace_bound
 from geomatch.integrals import matching_combination
 from geomatch.orders import OrderKind
-from geomatch.padic import local_type
+from geomatch.padic import SPLIT, local_type
 
 
 def _coefficients(data):
@@ -388,14 +387,14 @@ def _matched_at_canonical_element(level, t, p):
 
 
 def test_matched_local_factor_equals_matched_value_and_division_factor():
-    # the matched factor is assembled from the cached M and J factors; it must
-    # equal the matched combination evaluated at its own canonical element,
+    # the matched factor is read off the local type; it must equal the
+    # matched combination evaluated at its own canonical element,
     # and the division-side factor (the matching identity at that element)
     for p in (2, 3, 5, 7):
         for n in range(5):
             for at in range(3, 61):
                 for t in (at, -at):
-                    got = matched_local_factor(n, t, p)
+                    got = matched_local_factor(n, local_type(t, p))
                     assert got == _matched_at_canonical_element(n, t, p), (p, n, t)
                     assert got == local_factor(OrderKind.D, n, local_type(t, p)), (p, n, t)
 
@@ -447,7 +446,8 @@ def test_local_factors_at_adversarial_traces(p, k, u, sign, level):
     torus_generator(classify_torus(t, p), t)
     for kind in (OrderKind.M, OrderKind.J, OrderKind.D):
         local_factor(kind, level, local_type(t, p))
-    assert matched_local_factor(level, t, p) == local_factor(OrderKind.D, level, local_type(t, p))
+    assert matched_local_factor(level, local_type(t, p)) == \
+        local_factor(OrderKind.D, level, local_type(t, p))
     # the canonical root may be either root of X^2 - t X + 1: orbital integrals
     # agree at x and at its Galois conjugate
     tor = classify_torus(t, p, default_precision(t, p) + level)
@@ -473,6 +473,21 @@ def _factors_at_own_element(level, t, p):
         level, t, p)
 
 
+def _assert_type_reads_as_element(lt, x):
+    """lt and the element x agree on every question a closed form asks of them.
+
+    val_gap is asked on split tori only and conductor on field tori only;
+    in_unit_filtration is asked up to level e n for closed forms of level n <= 6.
+    """
+    assert (lt.q, lt.e, lt.kind, lt.is_unit()) == (x.q, x.e, x.kind, x.is_unit())
+    if lt.kind == SPLIT:
+        assert lt.val_gap() == x.val_gap()
+    else:
+        assert lt.conductor() == x.conductor()
+    for n in range(13):
+        assert lt.in_unit_filtration(n) == x.in_unit_filtration(n), n
+
+
 @settings(max_examples=200)
 @given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), k=st.integers(0, 20),
        u=st.integers(1, 10 ** 4), sign=st.sampled_from([1, -1]),
@@ -480,16 +495,18 @@ def _factors_at_own_element(level, t, p):
 def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, sign, w):
     # t2 agrees with t modulo p^(v(t^2 - 4) + 3), so it has the same valuations
     # and the same square class of the unit part of t^2 - 4: one local type.
-    # The factor cached for the type must be the orbital at each trace's own
-    # element, whichever trace of the type fills the cache first.
+    # The type answers each question the closed forms ask as the canonical
+    # element of either trace does, and the factor cached for the type must be
+    # the orbital at each trace's own element.
     from geomatch.assembly import local_ratio
     from geomatch.padic import classify_torus
     t = sign * (2 + u * p ** k)
     lt = local_type(t, p)
     t2 = t + sign * w * p ** (lt.v_minus + lt.v_plus + 3)
-    assert local_type(t2, p) == lt and local_type(t2, p).t == t2
-    assert hash(local_type(t2, p)) == hash(lt) and copy.copy(lt).t == t
+    assert local_type(t2, p) == lt and hash(local_type(t2, p)) == hash(lt)
     assert lt.torus == classify_torus(t, p).kind
+    for trace in (t, t2):
+        _at_canonical_element(lambda x: _assert_type_reads_as_element(lt, x), 6, trace, p)
     own = [_factors_at_own_element(level, t, p) for level in range(5)]
     assert own == [_factors_at_own_element(level, t2, p) for level in range(5)]
     for first, second in ((t, t2), (t2, t)):
@@ -499,6 +516,53 @@ def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, s
             keyed = [[local_factor(kind, level, local_type(trace, p)) for kind in KINDS]
                      for level in range(5)]
             assert keyed == own, (first, trace)
+
+
+# the relation shapes of the CI workflow at x = 400, or at their CI x where that
+# is smaller: the 14-prime table at x = 400 takes about 11 s
+CI_RELATIONS = (
+    ((2, 3), (), 400),
+    ((2, 3, 5, 7), ((2, 1), (3, 1)), 400),
+    ((2, 3, 5, 7, 11, 13), ((2, 2), (3, 1), (5, 1)), 400),
+    ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43), (), 100),
+)
+
+
+# 2-adic traces for factors at level MAX_EXPONENT = 1000: v(t - 2) or v(t + 2)
+# = 60, and one trace of each torus kind with v(t - 2) near 2 * 1000, where
+# in_unit_filtration is asked up to n = 2000
+EDGE_TRACES = (2 + 2 ** 60, -2 - 2 ** 60, 2 + 2 ** 2000, 2 + 5 * 2 ** 2000, 2 + 2 ** 1999)
+
+
+def test_global_path_builds_no_p_adic_element(monkeypatch):
+    # local factors are read off the local type: with every binding of
+    # classify_torus and torus_generator refusing, relations and the level-1000
+    # factors at EDGE_TRACES still finish, nothing can run out of precision,
+    # and those factors are the orbitals at each trace's own element, taken
+    # before the bindings refuse
+    import sys
+    from geomatch import padic
+    from geomatch.assembly import local_ratio
+
+    own = {t: _factors_at_own_element(MAX_EXPONENT, t, 2) for t in EDGE_TRACES}
+    assert {local_type(t, 2).torus for t in EDGE_TRACES} == \
+        {SPLIT, padic.UNRAMIFIED, padic.RAMIFIED}
+    def refuse(*args, **kwargs):
+        raise AssertionError("a p-adic element was built on the global path")
+
+    originals = {padic.classify_torus, padic.torus_generator}
+    for name, mod in list(sys.modules.items()):
+        if name == "geomatch" or name.startswith("geomatch."):
+            for attr, val in list(vars(mod).items()):
+                if any(val is orig for orig in originals):
+                    monkeypatch.setattr(mod, attr, refuse)
+    for cache in (local_factor, local_ratio, local_type):
+        cache.cache_clear()
+    for ram, exps, x in CI_RELATIONS:
+        psi_relation(RamifiedLevelData(ram, exps), x)
+    for t in EDGE_TRACES:
+        assert [local_factor(kind, MAX_EXPONENT, local_type(t, 2)) for kind in KINDS] \
+            == own[t], t
 
 
 def test_keyed_local_factors_agree_with_own_elements_over_a_trace_grid():

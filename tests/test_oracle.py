@@ -465,6 +465,26 @@ def test_checked_embedding_verifies_each_embedding_once(monkeypatch):
     oracle.checked_embedding.cache_clear()
 
 
+def test_oracle_does_its_per_torus_work_once(monkeypatch):
+    # the level-0 Iwahori search and the division embedding depend only on the
+    # torus, so repeated oracle_orbital calls at one torus build each once
+    calls = []
+    real = oracle.division_embedding
+    monkeypatch.setattr(oracle, "division_embedding",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    oracle._division_coset.cache_clear()
+    oracle.iwahori_level_zero_missing.cache_clear()
+    torus = unramified_torus(3, 12)
+    for n in range(3):
+        for alpha in (1, 4, 10):
+            x = torus.element(alpha, 3)
+            for kind in (OrderKind.J, OrderKind.D):
+                oracle_orbital(TestFunctionSpec(kind, n), x)
+    assert calls == [torus]
+    assert oracle.iwahori_level_zero_missing.cache_info().misses == 1
+    oracle._division_coset.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # the coset sum's guards and its side factors
 
