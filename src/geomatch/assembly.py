@@ -27,17 +27,11 @@ from .geodesics import (
     MAX_SPLITTING_LEVEL, c_factor, dpsi_enumerated, signed_traces, trace_bound,
 )
 from .integrals import matched_value, matching_combination, orbital, TestFunctionSpec
-from .orders import (
-    DivisionModel,
-    MatElt,
-    OrderKind,
-    congruence_subgroup_membership,
-)
+from .orders import OrderKind, contains_minus_one
 from .padic import (
     ENUM_CAP,
     EnumerationTooLarge,
     LocalType,
-    PAdicContext,
     factorize,
     is_prime,
     local_type,
@@ -145,18 +139,10 @@ def relation_terms(data: RamifiedLevelData):
 
 @lru_cache(maxsize=None)
 def group_c_factor(desc: GroupDescriptor) -> Fraction:
-    """1/2 when -1 satisfies every local congruence, by explicit membership, else 1."""
-    for p, kind, level in desc.entries:
-        if level == 0:
-            continue
-        ctx = PAdicContext(p, level + 4)
-        if kind is OrderKind.D:
-            neg = DivisionModel(ctx).elt((-1, 0), (0, 0))
-        else:
-            neg = MatElt.from_rows(ctx, ((-1, 0), (0, -1)))
-        if not congruence_subgroup_membership(kind, neg, level):
-            return Fraction(1)
-    return Fraction(1, 2)
+    """1/2 when -1 lies in the group, that is in U^n at every entry, else 1."""
+    if all(contains_minus_one(kind, level, p) for p, kind, level in desc.entries):
+        return Fraction(1, 2)
+    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Only coverage, which draws samples, takes --seed; only classes, spectrum and
 report, which write a table, take --format.  The others report seed 0 and
 json.  coverage exits 3 above M = 56 (over 2^20 split axis points), and
 exits 64 on an explicit --torus for split-M or split-J, which use no torus.
-relation exits 64 on an --exponents level above 1000 (assembly.MAX_EXPONENT).
+relation exits 64 on an --exponents level above 1000 (assembly.MAX_EXPONENT),
+and verify-local on an --M outside [1, 1000] (MAX_VERIFY_M).
 spectrum and report exit 3 on a grid of more than 2^20 x values.
 """
 
@@ -55,6 +56,10 @@ EXIT_VIOLATION = 1
 EXIT_PRECISION = 2
 EXIT_TOO_LARGE = 3
 EXIT_USAGE = 64
+
+# verify-local's precision: cost grows like M^2.2 (2.4 s at M = 20 000,
+# n_max 0); at 1000 the slowest run (p = 5, n_max 6) takes about 0.3 s
+MAX_VERIFY_M = 1000
 
 NORMALIZATION_LEDGER = {
     "field_measure": "Vol(O_E^x) = 1",
@@ -322,7 +327,7 @@ def build_parser() -> Parser:
     sp = sub.add_parser("verify-local", help="closed forms against the oracle")
     sp.add_argument("--p", type=_one_of(int, (2, 3, 5)), default=2)
     sp.add_argument("--n-max", type=_int_in(0, 6), default=3)
-    sp.add_argument("--M", type=int, default=12)
+    sp.add_argument("--M", type=_int_in(1, MAX_VERIFY_M), default=12)
     _add_common(sp)
 
     sp = sub.add_parser("verify-matching", help="split vanishing and field matching")

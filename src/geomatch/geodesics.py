@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
+from .orders import OrderKind, contains_minus_one
 from .padic import ENUM_CAP, EnumerationTooLarge, NonHyperbolicTrace, factorize
 
 MAX_SPLITTING_LEVEL = 6
@@ -259,66 +260,6 @@ def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
     return cls
 
 
-def class_count_bruteforce(t: int) -> int:
-    """Independent class count: enumerate bounded matrices, merge conjugates.
-
-    Seeds are all trace-t determinant-1 matrices with entries bounded by
-    30; the conjugation graph under the two standard generators is explored
-    inside the larger box of entries bounded by 400 and components are counted.
-    """
-    if abs(t) <= 2:
-        raise NonHyperbolicTrace(str(t))
-    bound, closure = 30, 400
-    seeds = set()
-    for a in range(-bound, bound + 1):
-        d = t - a
-        if abs(d) > bound:
-            continue
-        bc = a * d - 1
-        if bc == 0:
-            for b in range(-bound, bound + 1):
-                seeds.add((a, b, 0, d))
-                seeds.add((a, 0, b, d))
-        else:
-            for b in range(-bound, bound + 1):
-                if b and bc % b == 0 and abs(bc // b) <= bound:
-                    seeds.add((a, b, bc // b, d))
-    S = (0, -1, 1, 0)
-    Si = (0, 1, -1, 0)
-    T = (1, 1, 0, 1)
-    Ti = (1, -1, 0, 1)
-    conj = [(S, Si), (Si, S), (T, Ti), (Ti, T)]
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    frontier = list(seeds)
-    for s in seeds:
-        parent[s] = s
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for c, ci in conj:
-                h = _mat_mul(ci, _mat_mul(g, c))
-                if max(abs(e) for e in h) > closure:
-                    continue
-                if h not in parent:
-                    parent[h] = h
-                    nxt.append(h)
-                union(g, h)
-        frontier = nxt
-    return len({find(s) for s in seeds})
-
-
 # ---------------------------------------------------------------------------
 # splitting into principal congruence subgroups
 
@@ -365,9 +306,12 @@ def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
     return total // size, mstar
 
 
+@lru_cache(maxsize=None)  # gamma_splitting asks once per class
 def c_factor(N: int) -> Fraction:
-    """1/2 when -1 lies in the level-N group (N <= 2), else 1."""
-    return Fraction(1, 2) if N <= 2 else Fraction(1)
+    """1/2 when -1 lies in Gamma(N), that is in U^e of M2(Z_p) at each p^e || N, else 1."""
+    if all(contains_minus_one(OrderKind.M, e, p) for p, e in factorize(N)):
+        return Fraction(1, 2)
+    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------

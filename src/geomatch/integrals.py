@@ -180,18 +180,14 @@ class MatchingCombination:
     coeff_g: Fraction
     g_level: int
 
-    def levels_coherent(self) -> bool:
-        return (norm_image_level(OrderKind.M, self.f_level)
-                == norm_image_level(OrderKind.J, self.g_level)
-                == norm_image_level(OrderKind.D, self.n))
-
 
 @lru_cache(maxsize=None)
 def matching_combination(q: int, n: int) -> MatchingCombination:
     """The matched matrix-side combination at level n.
 
     n = 0: 2 f_0 - g_0; n = 2m: (2q/(q-1)) f_m - ((q+1)/(q-1)) g_2m;
-    n = 2m-1: (-2/(q-1)) f_m + ((q+1)/(q-1)) g_(2m-1).  a + b = 1 always.
+    n = 2m-1: (-2/(q-1)) f_m + ((q+1)/(q-1)) g_(2m-1).  a + b = 1 always,
+    and f, g and phi_n share one norm image level; both are checked here.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
@@ -207,6 +203,10 @@ def matching_combination(q: int, n: int) -> MatchingCombination:
                                     Fraction(q + 1, q - 1), n)
     if combo.coeff_f + combo.coeff_g != 1:
         raise AssertionError("matching coefficients must sum to 1")
+    if not (norm_image_level(OrderKind.M, combo.f_level)
+            == norm_image_level(OrderKind.J, combo.g_level)
+            == norm_image_level(OrderKind.D, n)):
+        raise AssertionError("matched levels must share one norm image")
     return combo
 
 

@@ -5,6 +5,8 @@ exhaustive counting in finite quotients, coset volumes from those counts, and
 every indicator from explicit matrix or quaternion congruence arithmetic.
 Full enumerations are capped at 2^20 residues; larger indices are assembled
 from exhaustively counted strata (head index times radical-quotient counts).
+SL2(Z) class counts come from conjugation closures of bounded matrices.
+Nothing here imports geodesics or assembly, whose results it checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .orders import (
     embedding_order_level,
     exact_radical_level,
     in_normalizer,
+    norm_image_level,
     order_membership,
+    order_unit_index,
     pi_matrix_inv,
     radical_power_membership,
     scaled_order_level,
@@ -38,6 +42,7 @@ from .padic import (
     ENUM_CAP,
     GUARD,
     EnumerationTooLarge,
+    NonHyperbolicTrace,
     PAdicContext,
     PrecisionExhausted,
     RegularElement,
@@ -429,7 +434,6 @@ def enum_norm_image(kind: OrderKind, p: int, n: int) -> tuple[int, int]:
     def target(m: int) -> set:
         return units if m == 0 else {u for u in units if (u - 1) % p ** m == 0}
 
-    from .orders import norm_image_level
     predicted = norm_image_level(kind, n)
     # at p = 2 neighbouring filtration sets can coincide; prefer the level the
     # image actually certifies
@@ -485,7 +489,6 @@ def radical_intersection_test(kind: OrderKind, torus: TorusData, r: int, n: int)
 
 def index_enumeration_test(kind: OrderKind, n: int, p: int) -> dict:
     """Enumerated unit index against the closed form."""
-    from .orders import order_unit_index
     enum = enum_order_unit_index(kind, p, n)
     closed = order_unit_index(kind, n, p)
     return {"kind": kind.value, "n": n, "p": p, "enumerated": enum,
@@ -865,3 +868,72 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
                 rep.violations.append({"type": "no-witness", "sample": idx,
                                        "entries": entries, "r": r})
     return rep
+
+
+# ---------------------------------------------------------------------------
+# hyperbolic class counts by conjugation closure
+
+
+def _int_mat_mul(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def class_count_bruteforce(t: int) -> int:
+    """Independent class count: enumerate bounded matrices, merge conjugates.
+
+    Seeds are all trace-t determinant-1 matrices with entries bounded by
+    30; the conjugation graph under the two standard generators is explored
+    inside the larger box of entries bounded by 400 and components are counted.
+    """
+    if abs(t) <= 2:
+        raise NonHyperbolicTrace(str(t))
+    bound, closure = 30, 400
+    seeds = set()
+    for a in range(-bound, bound + 1):
+        d = t - a
+        if abs(d) > bound:
+            continue
+        bc = a * d - 1
+        if bc == 0:
+            for b in range(-bound, bound + 1):
+                seeds.add((a, b, 0, d))
+                seeds.add((a, 0, b, d))
+        else:
+            for b in range(-bound, bound + 1):
+                if b and bc % b == 0 and abs(bc // b) <= bound:
+                    seeds.add((a, b, bc // b, d))
+    S = (0, -1, 1, 0)
+    Si = (0, 1, -1, 0)
+    T = (1, 1, 0, 1)
+    Ti = (1, -1, 0, 1)
+    conj = [(S, Si), (Si, S), (T, Ti), (Ti, T)]
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    frontier = list(seeds)
+    for s in seeds:
+        parent[s] = s
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for c, ci in conj:
+                h = _int_mat_mul(ci, _int_mat_mul(g, c))
+                if max(abs(e) for e in h) > closure:
+                    continue
+                if h not in parent:
+                    parent[h] = h
+                    nxt.append(h)
+                union(g, h)
+        frontier = nxt
+    return len({find(s) for s in seeds})

@@ -24,6 +24,7 @@ from .padic import (
     SPLIT,
     UNRAMIFIED,
     hensel_lift,
+    integer_valuation,
     unramified_generator_constant,
 )
 
@@ -63,10 +64,6 @@ class MatElt(_MatFields):
         return tuple.__new__(cls, (ctx, e11, e12, e21, e22, den))
 
     @classmethod
-    def identity(cls, ctx: PAdicContext) -> "MatElt":
-        return cls(ctx, 1, 0, 0, 1)
-
-    @classmethod
     def from_rows(cls, ctx: PAdicContext, rows, den: int = 0) -> "MatElt":
         (a, b), (c, d) = rows
         m = ctx.modulus
@@ -95,12 +92,6 @@ class MatElt(_MatFields):
         ctx, a, b, c, d, _ = self
         return (a * d - b * c) % ctx.modulus
 
-    def scale_p(self, k: int) -> "MatElt":
-        """Multiply by p^k (k >= 0) without touching the denominator."""
-        m = self.ctx.modulus
-        s = self.ctx.p ** k
-        return MatElt(self.ctx, *(x * s % m for x in self.entries), self.den)
-
     def inv(self) -> "MatElt":
         """Inverse via the adjugate: (A/p^d)^-1 = adj(A) unit^-1 / p^(v(det A) - d)."""
         ctx, a, b, c, d, den = self
@@ -119,11 +110,6 @@ class MatElt(_MatFields):
     def conj_by(self, g: "MatElt") -> "MatElt":
         """g^-1 * self * g."""
         return g.inv() * self * g
-
-
-def pi_matrix(ctx: PAdicContext) -> MatElt:
-    """The Iwahori normalizer generator (0 1; p 0)."""
-    return MatElt(ctx, 0, 1, ctx.p % ctx.modulus, 0)
 
 
 def pi_matrix_inv(ctx: PAdicContext) -> MatElt:
@@ -176,6 +162,17 @@ def congruence_subgroup_membership(kind: OrderKind, x, n: int) -> bool:
     if n <= 0:
         return True
     return radical_power_membership(kind, x.minus_identity(), n)
+
+
+def contains_minus_one(kind: OrderKind, n: int, p: int) -> bool:
+    """Whether -1 lies in U^n of the kind's order at p, n >= 0.
+
+    -1 is an order unit, and -1 - 1 = -2 has only diagonal entries (u0 for D),
+    each of valuation v_p(2): 1 at p = 2, 0 at odd p.  Their staircase bound
+    is the first, ceil(slope n / 2), so -2 lies in rad^n exactly when that
+    bound is at most v_p(2).
+    """
+    return _radical_bounds(kind, n)[0] <= integer_valuation(2, p)
 
 
 def order_unit_index(kind: OrderKind, n: int, q: int) -> int:
@@ -304,12 +301,6 @@ class DivisionModel:
     def elt(self, u: tuple[int, int], w: tuple[int, int], den: int = 0) -> "DivElt":
         m = self.ctx.modulus
         return DivElt(self, (u[0] % m, u[1] % m), (w[0] % m, w[1] % m), den)
-
-    def one(self) -> "DivElt":
-        return self.elt((1, 0), (0, 0))
-
-    def pi_d(self) -> "DivElt":
-        return self.elt((0, 0), (1, 0))
 
     # arithmetic of the unramified quadratic ring
     def _mul2(self, x, y):

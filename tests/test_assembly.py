@@ -330,9 +330,30 @@ def test_predict_matches_enumeration_higher_levels():
         assert seen[:4] == traces, (N, seen[:6])
 
 
+def _contains_minus_one_explicitly(kind, n, p):
+    """Whether -1 lies in U^n, by congruence membership of an explicit -1."""
+    from geomatch.orders import DivisionModel, MatElt, congruence_subgroup_membership
+    from geomatch.padic import PAdicContext
+    ctx = PAdicContext(p, n + 4)
+    if kind is OrderKind.D:
+        neg = DivisionModel(ctx).elt((-1, 0), (0, 0))
+    else:
+        neg = MatElt.from_rows(ctx, ((-1, 0), (0, -1)))
+    return congruence_subgroup_membership(kind, neg, n)
+
+
+def test_minus_one_rule_matches_explicit_membership():
+    from geomatch.orders import contains_minus_one
+    for p in (2, 3, 5, 7, 11, 13):
+        for kind in OrderKind:
+            for n in range(40):
+                assert contains_minus_one(kind, n, p) == \
+                    _contains_minus_one_explicitly(kind, n, p), (p, kind, n)
+
+
 def test_geodesic_c_factor_matches_group_membership():
     from geomatch.geodesics import c_factor
-    for N in range(1, 7):
+    for N in range(1, 200):
         assert c_factor(N) == group_c_factor(GroupDescriptor.principal(N)), N
 
 
@@ -525,6 +546,8 @@ CI_RELATIONS = (
     ((2, 3, 5, 7), ((2, 1), (3, 1)), 400),
     ((2, 3, 5, 7, 11, 13), ((2, 2), (3, 1), (5, 1)), 400),
     ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43), (), 100),
+    ((2, 3), ((2, MAX_EXPONENT),), 100),
+    ((2, 11), ((2, 3),), 400),
 )
 
 
@@ -535,14 +558,16 @@ EDGE_TRACES = (2 + 2 ** 60, -2 - 2 ** 60, 2 + 2 ** 2000, 2 + 5 * 2 ** 2000, 2 + 
 
 
 def test_global_path_builds_no_p_adic_element(monkeypatch):
-    # local factors are read off the local type: with every binding of
-    # classify_torus and torus_generator refusing, relations and the level-1000
+    # local factors are read off the local type and c-factors off the
+    # staircase: with every binding of classify_torus and torus_generator
+    # refusing, and no PAdicContext constructible, relations and the level-1000
     # factors at EDGE_TRACES still finish, nothing can run out of precision,
     # and those factors are the orbitals at each trace's own element, taken
     # before the bindings refuse
     import sys
     from geomatch import padic
     from geomatch.assembly import local_ratio
+    from geomatch.geodesics import c_factor
 
     own = {t: _factors_at_own_element(MAX_EXPONENT, t, 2) for t in EDGE_TRACES}
     assert {local_type(t, 2).torus for t in EDGE_TRACES} == \
@@ -556,7 +581,8 @@ def test_global_path_builds_no_p_adic_element(monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if any(val is orig for orig in originals):
                     monkeypatch.setattr(mod, attr, refuse)
-    for cache in (local_factor, local_ratio, local_type):
+    monkeypatch.setattr(padic.PAdicContext, "__post_init__", refuse)
+    for cache in (local_factor, local_ratio, local_type, group_c_factor, c_factor):
         cache.cache_clear()
     for ram, exps, x in CI_RELATIONS:
         psi_relation(RamifiedLevelData(ram, exps), x)

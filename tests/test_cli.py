@@ -43,6 +43,12 @@ def test_usage_errors(tmp_path, capsys):
         t0 = time.perf_counter()
         assert main(["relation", "--ramified", "2,3", "--exponents", exps]) == EXIT_USAGE
         assert time.perf_counter() - t0 < 1.0, exps
+    # so does a verify-local precision outside [1, MAX_VERIFY_M]: the cost
+    # grows like M^2.2, and a negative M is a usage error, not exhausted precision
+    for M in ("1001", "-3"):
+        t0 = time.perf_counter()
+        assert main(["verify-local", "--M", M]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1.0, M
     # inputs that would certify or count nothing
     assert main(["coverage", "--samples", "0", "--M", "2"]) == EXIT_USAGE
     assert main(["coverage", "--samples", "-5"]) == EXIT_USAGE

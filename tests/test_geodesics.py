@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from geomatch.geodesics import (
     MAX_TRACE,
-    class_count_bruteforce,
     dpsi_enumerated,
     gamma_splitting,
     li,
@@ -24,6 +23,7 @@ from geomatch.geodesics import (
     _mat_mul,
     _mat_pow,
 )
+from geomatch.oracle import class_count_bruteforce
 from geomatch.padic import EnumerationTooLarge, NonHyperbolicTrace
 
 

@@ -10,7 +10,7 @@ from geomatch.integrals import (
     verify_matching,
     TestFunctionSpec,
 )
-from geomatch.orders import OrderKind
+from geomatch.orders import OrderKind, norm_image_level
 from geomatch.padic import (
     ramified_torus,
     ramified_torus_2nonsplit,
@@ -82,7 +82,8 @@ def test_matching_combination_cases():
 def test_coefficients_sum_to_one(q, n):
     c = matching_combination(q, n)
     assert c.coeff_f + c.coeff_g == 1
-    assert c.levels_coherent()
+    assert norm_image_level(OrderKind.M, c.f_level) == \
+        norm_image_level(OrderKind.J, c.g_level) == norm_image_level(OrderKind.D, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -282,8 +282,9 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed):
         except PrecisionExhausted:
             rep.violations.append({"type": "no-inverse", "sample": idx})
             continue
-        r = next((j for j in range(bound)
-                  if oracle.order_membership(kind, Y.scale_p(j))), None)
+        r = next((j for j in range(bound) if oracle.order_membership(
+            kind, MatElt(work, *(e * p ** j % work.modulus for e in Y.entries), Y.den))),
+            None)
         if r is None:
             rep.violations.append({"type": "no-level", "sample": idx,
                                    "entries": g.entries})
@@ -580,3 +581,19 @@ def test_side_factors_share_one_scan(p):
         assert oracle.split_side_factor(split, kind) == \
             _reference_split_side_factor(split, kind)
     assert seen == {1, 2}  # both outcomes of the field scan are reached
+
+
+def test_oracle_imports_nothing_it_checks():
+    # the independence rule: no import in oracle.py, at module or function
+    # level, reads the geodesic walk or the global assembly
+    import ast
+    from pathlib import Path
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert "orders.congruence_subgroup_membership" in modules
+    assert [m for m in modules if {"geodesics", "assembly"} & set(m.split("."))] == []

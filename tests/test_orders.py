@@ -17,7 +17,6 @@ from geomatch.orders import (
     norm_image_level,
     order_membership,
     order_unit_index,
-    pi_matrix,
     pi_matrix_inv,
     radical_power_membership,
     scaled_order_level,
@@ -38,18 +37,18 @@ from geomatch.padic import (
 
 def test_radical_membership_examples():
     ctx = PAdicContext(3, 8)
-    Pi = pi_matrix(ctx)
+    Pi = MatElt(ctx, 0, 1, 3, 0)
     assert radical_power_membership(OrderKind.J, Pi, 1)
     Pi2 = Pi * Pi
     assert radical_power_membership(OrderKind.J, Pi2, 2)
     assert Pi2.entries == (3, 0, 0, 3)
     md = DivisionModel(PAdicContext(2, 6))
-    assert not radical_power_membership(OrderKind.D, md.one(), 1)
+    assert not radical_power_membership(OrderKind.D, md.elt((1, 0), (0, 0)), 1)
 
 
 def test_congruence_membership_examples():
     ctx = PAdicContext(3, 8)
-    assert congruence_subgroup_membership(OrderKind.M, MatElt.identity(ctx), 5)
+    assert congruence_subgroup_membership(OrderKind.M, MatElt(ctx, 1, 0, 0, 1), 5)
     assert congruence_subgroup_membership(OrderKind.M, MatElt(ctx, 1, 3, 0, 1), 1)
     md = DivisionModel(PAdicContext(2, 8))
     y = md.elt((1, 0), (1, 0))  # 1 + pi_D
@@ -75,7 +74,7 @@ def test_norm_image_levels():
 def test_division_relations():
     md = DivisionModel(PAdicContext(3, 8))
     s = md.elt((0, 1), (0, 0))
-    piD = md.pi_d()
+    piD = md.elt((0, 0), (1, 0))
     left = piD * s
     # pi_D * s = sigma(s) * pi_D with sigma(s) = 1 - s
     mod = 3 ** 8
@@ -123,7 +122,7 @@ def test_radical_filtration_products():
                 radical_power_membership(OrderKind.M, y, b):
             assert radical_power_membership(OrderKind.M, x * y, a + b)
     # Iwahori: products of radical elements land in the radical sum
-    Pi = pi_matrix(ctx)
+    Pi = MatElt(ctx, 0, 1, 2, 0)
     for _ in range(40):
         a = rng.randrange(1, 4)
         b = rng.randrange(1, 4)
@@ -143,7 +142,7 @@ def test_congruence_subgroups_normal_in_normalizer():
     # conjugation by the normalizer generators preserves U^n membership
     ctx = PAdicContext(3, 12)
     rng = random.Random(11)
-    Pi = pi_matrix(ctx)
+    Pi = MatElt(ctx, 0, 1, 3, 0)
     Pi_inv = pi_matrix_inv(ctx)
     for n in (1, 2, 3):
         for _ in range(25):
@@ -199,9 +198,9 @@ def test_division_embedding_parity():
 
 def test_normalizer_membership():
     ctx = PAdicContext(3, 8)
-    Pi = pi_matrix(ctx)
+    Pi = MatElt(ctx, 0, 1, 3, 0)
     assert in_normalizer(OrderKind.J, Pi)
-    assert in_normalizer(OrderKind.J, MatElt.identity(ctx))
+    assert in_normalizer(OrderKind.J, MatElt(ctx, 1, 0, 0, 1))
     assert not in_normalizer(OrderKind.J, MatElt(ctx, 1, 0, 0, 3))
     assert in_normalizer(OrderKind.M, MatElt(ctx, 3, 0, 0, 3))
     assert not in_normalizer(OrderKind.M, Pi)
@@ -227,7 +226,8 @@ def test_matelt_is_an_immutable_value():
     y = MatElt(ctx, 1, 3, 9, 2, den=1)
     assert y is not x and y == x and hash(y) == hash(x)
     assert MatElt(ctx, 1, 3, 9, 2) != x
-    assert MatElt.identity(ctx) * x == x == x * MatElt.identity(ctx)
+    one = MatElt(ctx, 1, 0, 0, 1)
+    assert one * x == x == x * one
     assert x.entries == (1, 3, 9, 2)
 
 
@@ -272,8 +272,9 @@ def _scan_radical_level(kind, x):
 
 def _scan_order_level(kind, x, bound):
     """scaled_order_level as the scan of p^j x over j in [0, bound)."""
-    return next((j for j in range(bound) if _reference_membership(kind, x.scale_p(j), 0)),
-                None)
+    m = x.ctx.modulus
+    return next((j for j in range(bound) if _reference_membership(
+        kind, MatElt(x.ctx, *(e * x.ctx.p ** j % m for e in x.entries), x.den), 0)), None)
 
 
 def _outcome(f, *args):
