@@ -6,8 +6,8 @@ product of normalized local orbital integrals at the canonical root of
 X^2 - t X + 1, times a trace-dependent but group-independent constant.  So
 every group is predicted as c_1 dpsi_1(t) of Gamma(1), extracted from
 enumeration (never from class-number data), times the ratio of its local
-factors to Gamma(1)'s at its own primes, where all the others agree.  The
-quaternion side's dpsi is defined through the matched combination.
+factors to Gamma(1)'s at its own primes, where all the others agree.  So is
+the quaternion side, which the relation checks against the Eichler terms.
 
 A local factor reads the trace only through its local type at p
 (padic.local_type: the torus kind and v_p(t - 2), v_p(t + 2)).  The closed
@@ -38,6 +38,7 @@ from .padic import (
 )
 
 MAX_EXPONENT = 1000  # cost grows as the square of a level; at 1000 a relation stays near 0.1 s
+MAX_PRIME = ENUM_CAP ** 2  # is_prime divides by trial: at most 2^20 steps, 0.07 s
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class RamifiedLevelData:
 
     ram must have even cardinality >= 2 (unramified at infinity); exponents
     is a finitely supported map prime -> level, which may also assign levels
-    at unramified primes, up to MAX_EXPONENT.  No prime may appear twice in either.
+    at unramified primes, up to MAX_EXPONENT.  No prime may repeat or exceed MAX_PRIME.
     """
 
     ram: tuple[int, ...]
@@ -60,11 +61,11 @@ class RamifiedLevelData:
         if len(ram) % 2 or len(ram) < 2:
             raise ValueError("ramification set must have even cardinality >= 2")
         for p in ram:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            if p > MAX_PRIME or not is_prime(p):
+                raise ValueError(f"{p} is not a prime up to 2^40")
         for p, n in exponents.items():
-            if not is_prime(p) or not 0 <= n <= MAX_EXPONENT:
-                raise ValueError(f"exponents must map primes to levels 0 to {MAX_EXPONENT}")
+            if p > MAX_PRIME or not is_prime(p) or not 0 <= n <= MAX_EXPONENT:
+                raise ValueError(f"exponents map primes <= 2^40 to levels 0 to {MAX_EXPONENT}")
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "exponents",
                            tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
@@ -237,35 +238,29 @@ def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
 # the per-trace relation and the counting-function report
 
 
-def _relation_groups(data: RamifiedLevelData):
-    """(groups, D's descriptor, float(c_D)), the floats formed once, not per trace.
+# Both sides of c_D dpsi_D = sum_I coeff_I c_I dpsi_I round exact local products, and
+# the coeff_I have both signs, so the gap is measured against sum_I |coeff_I c_I dpsi_I|:
+# rounding leaves under 5e-16 of it over 3 698 traces, a term off by 1e-6 about 1e-7.
+IDENTITY_TOLERANCE = 1e-9
 
-    One group per Eichler term: (subset, coeff, descriptor, float(c), float(coeff) * float(c)).
+
+def _trace_terms(terms, floats, qdesc: GroupDescriptor, t: int):
+    """([(dpsi, mode)] per Eichler term, dpsi_D, whether the identity holds) at trace t.
+
+    floats holds (c_I, coeff_I c_I) per term.  dpsi_D is the quaternion descriptor's own value.
     """
-    terms, qdesc = relation_terms(data)
-    cs = [float(group_c_factor(desc)) for _, _, desc in terms]
-    groups = tuple((s, coeff, desc, c, float(coeff) * c)
-                   for (s, coeff, desc), c in zip(terms, cs))
-    return groups, qdesc, float(group_c_factor(qdesc))
-
-
-def _trace_terms(groups, c_q: float, t: int):
-    """([(dpsi, mode)] per Eichler term, dpsi_D) at trace t.
-
-    dpsi_D is defined by c_D dpsi_D = sum_I coeff_I c_I dpsi_I.
-    """
-    vals = [dpsi_value(desc, t) for _, _, desc, _, _ in groups]
-    rhs = 0.0
-    for (_, _, _, _, coeff_c), (val, _) in zip(groups, vals):
-        rhs += coeff_c * val
-    return vals, rhs / c_q
+    vals = [dpsi_value(desc, t) for _, _, desc in terms]
+    dpsi_q, _ = dpsi_value(qdesc, t)
+    weighted = [coeff_c * val for (_, coeff_c), (val, _) in zip(floats, vals) if val]
+    gap = sum(weighted) - float(group_c_factor(qdesc)) * dpsi_q
+    return vals, dpsi_q, abs(gap) <= IDENTITY_TOLERANCE * sum(map(abs, weighted))
 
 
 @dataclass(frozen=True)
-class DpsiRelationTerm:
+class RelationTerm:
     subset: tuple[int, ...]
     coefficient: Fraction
-    dpsi: float
+    value: float  # dpsi at one trace, or psi up to x
     mode: str
 
 
@@ -273,24 +268,23 @@ class DpsiRelationTerm:
 class DpsiRelationReport:
     t: int
     dpsi_quaternion: float
-    terms: tuple[DpsiRelationTerm, ...]
+    terms: tuple[RelationTerm, ...]
     exact_identity_ok: bool
     matching_identity_ok: bool
+    identity_ok: bool
 
 
 def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     """Decompose c_D dpsi_D(t) = sum_I coeff_I c_I dpsi_I(t) and verify it.
 
-    dpsi_D is defined by the right-hand side (the quaternion side is never
-    enumerated directly); the exact rational identities behind the relation
-    are checked as well: the subset expansion of the local products and the
-    agreement with the quaternion-side local product.
+    dpsi_D is the quaternion descriptor's predicted value; the exact rational
+    identities behind the relation are checked as well: the subset expansion of
+    the local products and the agreement with the quaternion-side local product.
     """
-    groups, qdesc, c_q = _relation_groups(data)
-    vals, dpsi_q = _trace_terms(groups, c_q, t)
-    terms = tuple(DpsiRelationTerm(subset, coeff, val, mode)
-                  for (subset, coeff, *_), (val, mode) in zip(groups, vals))
-    subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc, *_ in groups)
+    terms, qdesc = relation_terms(data)
+    floats = [(c := float(group_c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
+    vals, dpsi_q, identity_ok = _trace_terms(terms, floats, qdesc, t)
+    subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc in terms)
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
         kind, level = qdesc.local_entry(p)
@@ -301,27 +295,22 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
             matched *= local_factor(kind, level, lt)
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
-    return DpsiRelationReport(t, dpsi_q, terms, exact_ok, matching_ok)
-
-
-@dataclass(frozen=True)
-class PsiRelationTerm:
-    subset: tuple[int, ...]
-    coefficient: Fraction
-    psi: float
-    mode: str
+    relation = tuple(RelationTerm(s, coeff, val, mode)
+                     for (s, coeff, _), (val, mode) in zip(terms, vals))
+    return DpsiRelationReport(t, dpsi_q, relation, exact_ok, matching_ok, identity_ok)
 
 
 @dataclass(frozen=True)
 class PsiRelationReport:
     x: float
     psi_quaternion: float
-    terms: tuple[PsiRelationTerm, ...]
+    terms: tuple[RelationTerm, ...]
     coefficient_sum: Fraction
     error: float
     bound_7_10: float
     per_trace: tuple[tuple[int, tuple[float, ...], float], ...]  # (t, dpsi_I, dpsi_D)
     note: str
+    identity_violation: int | None  # the first trace where c_D dpsi_D misses the identity
 
 
 def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
@@ -339,29 +328,35 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     size = 2 ** len(data.ram) * 2 * (trace_bound(x) - 2)
     if size > ENUM_CAP:
         raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
-    groups, _, c_q = _relation_groups(data)
-    psi_terms = [0.0] * len(groups)
+    terms, qdesc = relation_terms(data)
+    # the floats are formed once per report, not per trace
+    floats = [(c := float(group_c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
+    psi_terms = [0.0] * len(terms)
     per_trace = []
+    violation = None
     for t in signed_traces(3, trace_bound(x)):
         weight = 2.0 * math.sqrt(abs(t) - 2)
-        vals, dq = _trace_terms(groups, c_q, t)
-        for k, ((_, _, _, c, _), (val, _)) in enumerate(zip(groups, vals)):
+        vals, dq, ok = _trace_terms(terms, floats, qdesc, t)
+        for k, ((c, _), (val, _)) in enumerate(zip(floats, vals)):
             psi_terms[k] += c * weight * val
         per_trace.append((t, tuple(val for val, _ in vals), dq))
+        if not ok and violation is None:
+            violation = t
     # each term reports the mode of its last trace
-    terms = tuple(PsiRelationTerm(subset, coeff, psi, mode)
-                  for (subset, coeff, *_), psi, (_, mode) in zip(groups, psi_terms, vals))
+    relation = tuple(RelationTerm(s, coeff, psi, mode)
+                     for (s, coeff, _), psi, (_, mode) in zip(terms, psi_terms, vals))
     psi_q = 0.0
-    for term in terms:
-        psi_q += float(term.coefficient) * term.psi
+    for term in relation:
+        psi_q += float(term.coefficient) * term.value
     return PsiRelationReport(
         x=float(x),
         psi_quaternion=psi_q,
-        terms=terms,
-        coefficient_sum=sum(coeff for _, coeff, *_ in groups),
+        terms=relation,
+        coefficient_sum=sum(coeff for _, coeff, _ in terms),
         error=psi_q - float(x),
         bound_7_10=float(x) ** 0.7,
         per_trace=tuple(per_trace),
         note=("quaternion-side values are defined through the per-trace "
               "matched-combination identity, not by direct enumeration"),
+        identity_violation=violation,
     )

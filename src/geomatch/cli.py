@@ -9,8 +9,9 @@ Only coverage, which draws samples, takes --seed; only classes, spectrum and
 report, which write a table, take --format.  The others report seed 0 and
 json.  coverage exits 3 above M = 56 (over 2^20 split axis points), and
 exits 64 on an explicit --torus for split-M or split-J, which use no torus.
-relation exits 64 on an --exponents level above 1000 (assembly.MAX_EXPONENT),
-and verify-local on an --M outside [1, 1000] (MAX_VERIFY_M).
+relation exits 1 where c_D dpsi_D misses sum_I coeff_I c_I dpsi_I, and 64 on an
+--exponents level above 1000 (assembly.MAX_EXPONENT) or a prime above 2^40
+(MAX_PRIME); verify-local exits 64 on an --M outside [1, 1000] (MAX_VERIFY_M).
 spectrum and report exit 3 on a grid of more than 2^20 x values.
 """
 
@@ -499,14 +500,16 @@ def _relation(args) -> int:
     code = _write_json(cfg, {
         "x": rep.x, "psi_D": rep.psi_quaternion,
         "terms": [{"subset": list(t.subset), "coefficient": str(t.coefficient),
-                   "psi": t.psi, "mode": t.mode} for t in rep.terms],
+                   "psi": t.value, "mode": t.mode} for t in rep.terms],
         "coefficient_sum": str(rep.coefficient_sum), "error": rep.error,
-        "bound_7_10": rep.bound_7_10, "note": rep.note})
+        "bound_7_10": rep.bound_7_10, "note": rep.note}, rep.identity_violation is None)
     if args.csv_out:
         header = ["t"] + [f"dpsi_I_{'_'.join(map(str, t.subset)) or 'none'}"
                           for t in rep.terms] + ["dpsi_quaternion"]
         rows = [[t, *vals, dq] for t, vals, dq in rep.per_trace]
         _write_table(replace(cfg, out=args.csv_out, fmt="csv"), header, rows)
+    if code:
+        print(f"identity violation at trace {rep.identity_violation}", file=sys.stderr)
     return code
 
 

@@ -285,10 +285,10 @@ def test_criterion_8_global_relation_report():
     rep = psi_relation(data, 5000)
     total = 0.0
     for term in rep.terms:
-        total += float(term.coefficient) * term.psi
+        total += float(term.coefficient) * term.value
     assert total == rep.psi_quaternion
     assert rep.coefficient_sum == 1
-    modes = {t.subset: (t.mode, t.psi) for t in rep.terms}
+    modes = {t.subset: (t.mode, t.value) for t in rep.terms}
     assert modes[(2, 3)][0] == "enumerated"
     direct = psi_enumerated(1, 5000)
     assert abs(modes[(2, 3)][1] - direct) <= 1e-9 * direct

@@ -119,6 +119,12 @@ def test_ramified_data_validation():
         RamifiedLevelData((2, 3, 3))
     with pytest.raises(ValueError):
         RamifiedLevelData((2, 3), ((2, 1), (2, 0)))
+    # primes are capped at 2^40, so trial division takes at most 2^20 steps;
+    # the largest prime below the cap is accepted, the next one refused
+    assert RamifiedLevelData((2, 1099511627689)).ram == (2, 1099511627689)
+    for ram, exps in (((2, 1099511627791), ()), ((2, 3), ((1099511627791, 1),))):
+        with pytest.raises(ValueError, match=r"2\^40"):
+            RamifiedLevelData(ram, exps)
     # levels are capped, at ramified and unramified primes alike
     assert RamifiedLevelData((2, 3), ((2, MAX_EXPONENT), (5, MAX_EXPONENT))).exponents == \
         ((2, MAX_EXPONENT), (5, MAX_EXPONENT))
@@ -196,6 +202,7 @@ def test_dpsi_relation_identities():
         rep = dpsi_relation(data, t)
         assert rep.exact_identity_ok
         assert rep.matching_identity_ok
+        assert rep.identity_ok
         assert rep.dpsi_quaternion >= -1e-12
     data2 = RamifiedLevelData((2, 3), ((2, 2), (3, 1)))
     for t in (3, 5, 17, -15):
@@ -225,12 +232,12 @@ def test_psi_relation_report():
     assert rep.coefficient_sum == 1
     total = 0.0
     for term in rep.terms:
-        total += float(term.coefficient) * term.psi
+        total += float(term.coefficient) * term.value
     assert total == rep.psi_quaternion
     assert rep.bound_7_10 == 800 ** 0.7
     assert "defined through" in rep.note
     # the all-matrix term is the level-1 principal group here
-    modes = {t.subset: (t.mode, t.psi) for t in rep.terms}
+    modes = {t.subset: (t.mode, t.value) for t in rep.terms}
     assert modes[(2, 3)][0] == "enumerated"
     assert abs(modes[(2, 3)][1] - psi_enumerated(1, 800)) < 1e-9
 
@@ -258,7 +265,7 @@ def test_relation_all_terms_vanish():
     # there, so an odd trace kills all four terms and the quaternion side
     data = RamifiedLevelData((2, 3), ((2, 2),))
     rep = dpsi_relation(data, 5)
-    assert all(t.dpsi == 0.0 for t in rep.terms)
+    assert all(t.value == 0.0 for t in rep.terms)
     assert rep.dpsi_quaternion == 0.0
     assert rep.exact_identity_ok and rep.matching_identity_ok
 
@@ -286,15 +293,21 @@ def test_relation_with_positive_exponents():
 
 
 def test_relation_agrees_with_direct_quaternion_prediction():
-    # dpsi_D from the subset decomposition equals the direct prediction
-    # through the quaternion-side local product and the global constant
+    # the identity side, sum_I coeff_I c_I dpsi_I / c_D over the subset
+    # decomposition, equals dpsi_D, the direct prediction through the
+    # quaternion-side local product and the global constant
     for data in (RamifiedLevelData((2, 3)),
                  RamifiedLevelData((2, 3), ((2, 1), (3, 1))),
                  RamifiedLevelData((2, 5), ((5, 2),))):
-        qdesc = relation_terms(data)[1]
+        terms, qdesc = relation_terms(data)
         for t in (3, -3, 5, 7, 12, 14, -14, 34, -34):
-            rel = dpsi_relation(data, t).dpsi_quaternion
+            rep = dpsi_relation(data, t)
+            rel = 0.0
+            for (_, coeff, desc), term in zip(terms, rep.terms):
+                rel += float(coeff) * float(group_c_factor(desc)) * term.value
+            rel /= float(group_c_factor(qdesc))
             direct = predict_dpsi(qdesc, t)
+            assert rep.dpsi_quaternion == direct, (data.ram, t)
             if rel == 0.0 and direct == 0.0:
                 continue
             err = abs(rel - direct) / max(abs(rel), abs(direct))
@@ -382,7 +395,7 @@ def test_psi_relation_per_trace_matches_dpsi_relation(data):
     assert len(rep.per_trace) == 2 * (trace_bound(2000) - 2)
     for t, vals, dq in rep.per_trace:
         one = dpsi_relation(data, t)
-        assert vals == tuple(term.dpsi for term in one.terms), t
+        assert vals == tuple(term.value for term in one.terms), t
         assert dq == one.dpsi_quaternion, t
         assert [term.subset for term in one.terms] == [term.subset for term in rep.terms]
 
@@ -616,8 +629,9 @@ RELATION_POOL = (
 
 def test_relation_pool_builds_one_local_factor_per_local_type():
     # a cold sweep computes each (kind, level, local type) factor once, and
-    # only the ones predict_dpsi reads: at each trace, the descriptor's own
-    # primes in order, up to the first vanishing factor
+    # only the ones predict_dpsi reads for the predicted Eichler terms and
+    # the quaternion descriptor: at each trace, the descriptor's own primes
+    # in order, up to the first vanishing factor
     from geomatch.assembly import local_ratio
     from geomatch.geodesics import MAX_SPLITTING_LEVEL, signed_traces
     local_factor.cache_clear()
@@ -628,7 +642,8 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
     misses = local_factor.cache_info().misses
     needed = set()
     for data in datas:
-        for _, _, desc in relation_terms(data)[0]:
+        terms, qdesc = relation_terms(data)
+        for desc in (*(desc for _, _, desc in terms), qdesc):
             N = desc.principal_level()
             if N is not None and N <= MAX_SPLITTING_LEVEL:
                 continue
@@ -640,3 +655,18 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
                         break
     assert local_factor.cache_info().misses == misses  # the walk needed nothing new
     assert misses == len(needed)
+
+
+@pytest.mark.parametrize("ram, exps, x", [(ram, exps, 2e4) for ram, exps in RELATION_POOL]
+                         + list(CI_RELATIONS))
+def test_quaternion_side_is_its_own_prediction(ram, exps, x):
+    # dpsi_D is the quaternion descriptor's predicted value: never negative,
+    # exactly 0.0 where its local product vanishes, never a rounding residue
+    # of the signed Eichler sum, and the identity holds at every trace
+    data = RamifiedLevelData(ram, exps)
+    qdesc = relation_terms(data)[1]
+    rep = psi_relation(data, x)
+    assert rep.identity_violation is None
+    for t, _, dq in rep.per_trace:
+        assert dq >= 0.0, t
+        assert (dq == 0.0) == (local_product(qdesc, t) == 0), t

@@ -10,6 +10,7 @@ from geomatch.cli import (
     EXIT_PRECISION,
     EXIT_TOO_LARGE,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     build_parser,
     main,
 )
@@ -43,6 +44,11 @@ def test_usage_errors(tmp_path, capsys):
         t0 = time.perf_counter()
         assert main(["relation", "--ramified", "2,3", "--exponents", exps]) == EXIT_USAGE
         assert time.perf_counter() - t0 < 1.0, exps
+    # so does a prime above 2^40: trial division to 1e17 used to take 25 s
+    for flag, value in (("--ramified", "2,1099511627791"), ("--exponents", "1099511627791=1")):
+        t0 = time.perf_counter()
+        assert main(["relation", flag, value]) == EXIT_USAGE
+        assert time.perf_counter() - t0 < 1.0, value
     # so does a verify-local precision outside [1, MAX_VERIFY_M]: the cost
     # grows like M^2.2, and a negative M is a usage error, not exhausted precision
     for M in ("1001", "-3"):
@@ -188,6 +194,20 @@ def test_relation_json(tmp_path, capsys):
     assert abs(total - data["psi_D"]) < 1e-7 * max(1.0, abs(data["psi_D"]))
     assert "defined through" in data["note"]
     assert csv_out.read_text().count("\n") > 4
+
+
+def test_relation_exits_1_on_identity_violation(tmp_path, capsys, monkeypatch):
+    # Gamma(6) is the enumerated all-matrix term here; off its prediction by
+    # 1e-6, it breaks c_D dpsi_D = sum_I coeff_I c_I dpsi_I where it fires
+    import geomatch.assembly as assembly
+    enumerated = assembly.dpsi_enumerated
+    monkeypatch.setattr(assembly, "dpsi_enumerated",
+                        lambda N, t: enumerated(N, t) * (1 + 1e-6 if N == 6 else 1))
+    out = tmp_path / "rel.json"
+    assert main(["relation", "--ramified", "2,3", "--exponents", "2=1,3=1",
+                 "--x-max", "2000", "--out", str(out)]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == "identity violation at trace -34\n"
+    assert json.loads(out.read_text())["results"]["coefficient_sum"] == "1"
 
 
 def test_coverage_exit_ok(tmp_path, capsys):
