@@ -24,10 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geodesics import (
-    MAX_SPLITTING_LEVEL, c_factor, dpsi_enumerated, signed_traces, trace_bound,
+    GroupDescriptor, c_factor, dpsi_enumerated, level_is_enumerable, signed_traces, trace_bound,
 )
 from .integrals import matched_value, matching_combination, orbital, TestFunctionSpec
-from .orders import OrderKind, contains_minus_one
+from .orders import OrderKind
 from .padic import (
     ENUM_CAP,
     EnumerationTooLarge,
@@ -71,39 +71,6 @@ class RamifiedLevelData:
                            tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """A congruence group given by its local kind and level at each prime.
-
-    Primes absent from entries carry (M, 0).  Eichler and principal groups
-    are unit groups of orders in M2; a D entry marks the quaternion side,
-    whose order is the maximal order of the division algebra there.
-    """
-
-    entries: tuple[tuple[int, OrderKind, int], ...]
-
-    def local_entry(self, p: int) -> tuple[OrderKind, int]:
-        for q, kind, level in self.entries:
-            if q == p:
-                return kind, level
-        return OrderKind.M, 0
-
-    @classmethod
-    def principal(cls, N: int) -> "GroupDescriptor":
-        if N < 1:
-            raise ValueError("level must be >= 1")
-        return cls(tuple((p, OrderKind.M, e) for p, e in factorize(N)))
-
-    def principal_level(self) -> int | None:
-        """N when the group is the principal congruence subgroup Gamma(N)."""
-        N = 1
-        for p, kind, level in self.entries:
-            if kind is not OrderKind.M:
-                return None
-            N *= p ** level
-        return N
-
-
 def relation_terms(data: RamifiedLevelData):
     """((I, coeff_I, descriptor of Gamma_I), ...) over the subsets I of ram, and D's descriptor.
 
@@ -136,14 +103,6 @@ def relation_terms(data: RamifiedLevelData):
     if sum(c for _, c, _ in terms) != 1:
         raise AssertionError("subset coefficients must sum to 1")
     return tuple((s, c, GroupDescriptor(e)) for s, c, e in terms), GroupDescriptor(quaternion)
-
-
-@lru_cache(maxsize=None)
-def group_c_factor(desc: GroupDescriptor) -> Fraction:
-    """1/2 when -1 lies in the group, that is in U^n at every entry, else 1."""
-    if all(contains_minus_one(kind, level, p) for p, kind, level in desc.entries):
-        return Fraction(1, 2)
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +163,7 @@ def extract_global_constant(t: int) -> float:
     base = dpsi_enumerated(1, t)
     if base <= 0:
         raise AssertionError("full-level dpsi must be positive for |t| > 2")
-    return float(c_factor(1)) * base
+    return float(c_factor(GroupDescriptor.principal(1))) * base
 
 
 def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
@@ -219,17 +178,17 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
         ratio *= local_ratio(kind, level, local_type(t, p))
         if ratio == 0:
             return 0.0
-    return extract_global_constant(t) * float(ratio) / float(group_c_factor(desc))
+    return extract_global_constant(t) * float(ratio) / float(c_factor(desc))
 
 
 def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
     """(dpsi, mode) of the group at trace t.
 
-    Enumerated where the group is Gamma(N) with N <= MAX_SPLITTING_LEVEL,
+    Enumerated where the group is Gamma(N) with level_is_enumerable(N),
     predicted from the local factors everywhere else.
     """
     N = desc.principal_level()
-    if N is not None and N <= MAX_SPLITTING_LEVEL:
+    if N is not None and level_is_enumerable(N):
         return dpsi_enumerated(N, t), "enumerated"
     return predict_dpsi(desc, t), "predicted"
 
@@ -252,7 +211,7 @@ def _trace_terms(terms, floats, qdesc: GroupDescriptor, t: int):
     vals = [dpsi_value(desc, t) for _, _, desc in terms]
     dpsi_q, _ = dpsi_value(qdesc, t)
     weighted = [coeff_c * val for (_, coeff_c), (val, _) in zip(floats, vals) if val]
-    gap = sum(weighted) - float(group_c_factor(qdesc)) * dpsi_q
+    gap = sum(weighted) - float(c_factor(qdesc)) * dpsi_q
     return vals, dpsi_q, abs(gap) <= IDENTITY_TOLERANCE * sum(map(abs, weighted))
 
 
@@ -282,7 +241,7 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     the local products and the agreement with the quaternion-side local product.
     """
     terms, qdesc = relation_terms(data)
-    floats = [(c := float(group_c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
+    floats = [(c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
     vals, dpsi_q, identity_ok = _trace_terms(terms, floats, qdesc, t)
     subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc in terms)
     matched = Fraction(1)
@@ -330,7 +289,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
         raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
     terms, qdesc = relation_terms(data)
     # the floats are formed once per report, not per trace
-    floats = [(c := float(group_c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
+    floats = [(c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
     psi_terms = [0.0] * len(terms)
     per_trace = []
     violation = None

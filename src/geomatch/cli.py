@@ -12,7 +12,8 @@ exits 64 on an explicit --torus for split-M or split-J, which use no torus.
 relation exits 1 where c_D dpsi_D misses sum_I coeff_I c_I dpsi_I, and 64 on an
 --exponents level above 1000 (assembly.MAX_EXPONENT) or a prime above 2^40
 (MAX_PRIME); verify-local exits 64 on an --M outside [1, 1000] (MAX_VERIFY_M).
-spectrum and report exit 3 on a grid of more than 2^20 x values.
+spectrum and report exit 3 on a grid of more than 2^20 x values, and with
+classes on a --level N above 101, where N^3 exceeds 2^20.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .assembly import RamifiedLevelData, psi_relation
-from .geodesics import MAX_SPLITTING_LEVEL, pgt_report, signed_traces, trace_row
+from .geodesics import pgt_report, signed_traces, trace_row
 from .geodesics import sl2_classes  # noqa: F401  (read by the benchmark harness)
 from .integrals import TestFunctionSpec, orbital, verify_matching
 from .oracle import (
@@ -321,7 +322,7 @@ def build_parser() -> Parser:
     ps.set_defaults(seed=0, fmt="json")  # echoed by the commands without the flag
     sub = ps.add_subparsers(dest="command")
     ps.commands = sub.choices  # subcommand name -> its parser
-    level = _int_in(1, MAX_SPLITTING_LEVEL)
+    level = _int_in(1)
     x = _rule(float, lambda v: math.isfinite(v) and v >= 10, "a finite x >= 10")
     table_format = _one_of(str, ("json", "csv"))
 
@@ -395,12 +396,14 @@ def _load_config(path: str) -> dict:
 def _parse(parser: Parser, argv):
     args = parser.parse_args(argv)
     if args.command and args.config:
-        # config values become the subcommand's defaults, so explicit flags
-        # win and argparse passes the values through each flag's type rule
+        # config keys (dests or flag spellings) become the subcommand's defaults, so
+        # explicit flags win and argparse passes the values through each flag's type rule
         sub = parser.commands[args.command]
         known = vars(sub.parse_args([]))
-        sub.set_defaults(**{k: v for k, v in _load_config(args.config).items()
-                            if k in known})
+        dests = {opt.lstrip("-").replace("-", "_"): a.dest for a in sub._actions
+                 for opt in a.option_strings if a.dest in known} | {k: k for k in known}
+        sub.set_defaults(**{dests[k]: v for k, v in _load_config(args.config).items()
+                            if k in dests})
         args = parser.parse_args(argv)
     return args
 

@@ -4,7 +4,7 @@ Classes of trace t correspond to integral binary quadratic forms of
 discriminant t^2 - 4 (including imprimitive ones, one m-scaled copy for each
 m^2 dividing the discriminant) up to proper equivalence; cycles of reduced
 forms enumerate them, Pell units give the primitive hyperbolic generators,
-and reduction mod N splits classes into the principal congruence subgroup.
+and reduction mod N splits classes into Gamma(N) while N^3 <= ENUM_CAP.
 All surd arithmetic is exact; logarithms are taken only at output.
 """
 
@@ -19,7 +19,6 @@ from itertools import islice
 from .orders import OrderKind, contains_minus_one
 from .padic import ENUM_CAP, EnumerationTooLarge, NonHyperbolicTrace, factorize
 
-MAX_SPLITTING_LEVEL = 6
 MAX_TRACE = 3162  # trace_bound(1e7): every count reaches x = 1e7
 
 
@@ -261,7 +260,53 @@ def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
 
 
 # ---------------------------------------------------------------------------
-# splitting into principal congruence subgroups
+# congruence groups and splitting into principal congruence subgroups
+
+
+@dataclass(frozen=True)
+class GroupDescriptor:
+    """A congruence group given by its local kind and level at each prime.
+
+    Primes absent from entries carry (M, 0).  Eichler and principal groups
+    are unit groups of orders in M2; a D entry marks the quaternion side,
+    whose order is the maximal order of the division algebra there.
+    """
+
+    entries: tuple[tuple[int, OrderKind, int], ...]
+
+    def local_entry(self, p: int) -> tuple[OrderKind, int]:
+        for q, kind, level in self.entries:
+            if q == p:
+                return kind, level
+        return OrderKind.M, 0
+
+    @classmethod
+    def principal(cls, N: int) -> "GroupDescriptor":
+        if N < 1:
+            raise ValueError("level must be >= 1")
+        return cls(tuple((p, OrderKind.M, e) for p, e in factorize(N)))
+
+    def principal_level(self) -> int | None:
+        """N when the group is the principal congruence subgroup Gamma(N)."""
+        N = 1
+        for p, kind, level in self.entries:
+            if kind is not OrderKind.M:
+                return None
+            N *= p ** level
+        return N
+
+
+@lru_cache(maxsize=None)
+def c_factor(desc: GroupDescriptor) -> Fraction:
+    """1/2 when -1 lies in the group, that is in U^n at every entry, else 1."""
+    if all(contains_minus_one(kind, level, p) for p, kind, level in desc.entries):
+        return Fraction(1, 2)
+    return Fraction(1)
+
+
+def level_is_enumerable(N: int) -> bool:
+    """Whether Gamma(N) is split by walking SL2(Z/N): N^3 <= ENUM_CAP, that is N <= 101."""
+    return N ** 3 <= ENUM_CAP
 
 
 @lru_cache(maxsize=None)  # gamma_splitting asks once per class
@@ -282,12 +327,12 @@ def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
 
     primitive_index is m*, the least m with gamma0^m = +-1 mod N, found by
     walking the powers of gamma0 mod N.  The image of the centralizer
-    <gamma0, -1> then has 2 c m* elements (c = c_factor(N), 1/2 exactly when
-    -1 = 1 mod N), so count, the number of level-N classes inside the
-    SL2(Z)-class, is |SL2(Z/N)| / (2 c m*) when gamma = 1 mod N and 0 otherwise.
+    <gamma0, -1> then has m* elements when -1 = 1 mod N and 2 m* otherwise,
+    so count, the number of level-N classes inside the SL2(Z)-class, is
+    |SL2(Z/N)| over that size when gamma = 1 mod N and 0 otherwise.
     """
-    if N > MAX_SPLITTING_LEVEL:
-        raise ValueError(f"level {N} above the splitting limit {MAX_SPLITTING_LEVEL}")
+    if not level_is_enumerable(N):
+        raise EnumerationTooLarge(f"level {N}: N^3 exceeds the cap {ENUM_CAP}")
     if N == 1:
         return 1, 1
     total = sl2_group_order(N)
@@ -301,17 +346,9 @@ def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
         mstar += 1
     if _mod(cls.gamma, N) != ident:
         return 0, mstar
-    size = int(2 * c_factor(N)) * mstar  # |<gamma0, -1> mod N|
+    size = mstar if neg == ident else 2 * mstar  # |<gamma0, -1> mod N|
     assert total % size == 0
     return total // size, mstar
-
-
-@lru_cache(maxsize=None)  # gamma_splitting asks once per class
-def c_factor(N: int) -> Fraction:
-    """1/2 when -1 lies in Gamma(N), that is in U^e of M2(Z_p) at each p^e || N, else 1."""
-    if all(contains_minus_one(OrderKind.M, e, p) for p, e in factorize(N)):
-        return Fraction(1, 2)
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +388,8 @@ def trace_row(N: int, t: int) -> TraceRow:
         weight += count * mstar * cls.log_x0()
         if cls.power == mstar:
             primitive += count
-    return TraceRow(t, len(classes), in_level, weight, primitive,
-                    float(c_factor(N)) * 2.0 * weight)
+    c = c_factor(GroupDescriptor.principal(N))
+    return TraceRow(t, len(classes), in_level, weight, primitive, float(c) * 2.0 * weight)
 
 
 def signed_traces(t_min: int, t_max: int):
@@ -415,10 +452,11 @@ def _counts(N: int, xs) -> list[tuple[float, int]]:
     for row in trace_table(N, max(bounds, default=2)):
         psi.append(psi[-1] + row.contribution)
         pi.append(pi[-1] + row.primitive)
+    c = c_factor(GroupDescriptor.principal(N))
     out = []
     for tmax in bounds:
         k = 2 * (tmax - 2)
-        count = c_factor(N) * pi[k]
+        count = c * pi[k]
         assert count.denominator == 1
         out.append((psi[k], int(count)))
     return out

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from geomatch.assembly import (
     MAX_EXPONENT,
-    GroupDescriptor,
     RamifiedLevelData,
     dpsi_relation,
     dpsi_value,
     extract_global_constant,
     factor_support,
-    group_c_factor,
     local_factor,
     local_product,
     matched_local_factor,
@@ -20,7 +18,10 @@ from geomatch.assembly import (
     psi_relation,
     relation_terms,
 )
-from geomatch.geodesics import dpsi_enumerated, psi_enumerated, trace_bound
+from geomatch.geodesics import (
+    GroupDescriptor, c_factor, dpsi_enumerated, level_is_enumerable, psi_enumerated,
+    trace_bound,
+)
 from geomatch.integrals import matching_combination
 from geomatch.orders import OrderKind
 from geomatch.padic import SPLIT, local_type
@@ -151,16 +152,16 @@ def test_descriptor_constructions():
 
 
 def test_c_factors():
-    assert group_c_factor(GroupDescriptor.principal(1)) == Fraction(1, 2)
-    assert group_c_factor(GroupDescriptor.principal(2)) == Fraction(1, 2)
-    assert group_c_factor(GroupDescriptor.principal(3)) == 1
-    assert group_c_factor(GroupDescriptor.principal(4)) == 1
+    assert c_factor(GroupDescriptor.principal(1)) == Fraction(1, 2)
+    assert c_factor(GroupDescriptor.principal(2)) == Fraction(1, 2)
+    assert c_factor(GroupDescriptor.principal(3)) == 1
+    assert c_factor(GroupDescriptor.principal(4)) == 1
     data = RamifiedLevelData((2, 3))
-    assert group_c_factor(relation_terms(data)[1]) == Fraction(1, 2)
+    assert c_factor(relation_terms(data)[1]) == Fraction(1, 2)
     data2 = RamifiedLevelData((2, 3), ((2, 2),))
-    assert group_c_factor(relation_terms(data2)[1]) == Fraction(1, 2)
+    assert c_factor(relation_terms(data2)[1]) == Fraction(1, 2)
     data3 = RamifiedLevelData((2, 3), ((2, 3),))
-    assert group_c_factor(relation_terms(data3)[1]) == 1
+    assert c_factor(relation_terms(data3)[1]) == 1
 
 
 def test_local_factor_tail_is_one():
@@ -244,7 +245,8 @@ def test_psi_relation_report():
 
 def test_dpsi_value_modes():
     assert dpsi_value(GroupDescriptor.principal(2), 6)[1] == "enumerated"
-    assert dpsi_value(GroupDescriptor.principal(7), 9)[1] == "predicted"
+    assert dpsi_value(GroupDescriptor.principal(7), 9)[1] == "enumerated"
+    assert dpsi_value(GroupDescriptor.principal(102), 9)[1] == "predicted"
 
 
 def test_local_factor_examples():
@@ -283,7 +285,7 @@ def test_relation_with_positive_exponents():
     data = RamifiedLevelData((2, 3), ((2, 1), (3, 1)))
     co = _coefficients(data)
     assert co[()] == 6 and co[(2, 3)] == 2
-    assert group_c_factor(relation_terms(data)[1]) == 1
+    assert c_factor(relation_terms(data)[1]) == 1
     for t in (34, -34, 5, 74, 14, -14):
         rep = dpsi_relation(data, t)
         assert rep.exact_identity_ok and rep.matching_identity_ok, t
@@ -304,8 +306,8 @@ def test_relation_agrees_with_direct_quaternion_prediction():
             rep = dpsi_relation(data, t)
             rel = 0.0
             for (_, coeff, desc), term in zip(terms, rep.terms):
-                rel += float(coeff) * float(group_c_factor(desc)) * term.value
-            rel /= float(group_c_factor(qdesc))
+                rel += float(coeff) * float(c_factor(desc)) * term.value
+            rel /= float(c_factor(qdesc))
             direct = predict_dpsi(qdesc, t)
             assert rep.dpsi_quaternion == direct, (data.ram, t)
             if rel == 0.0 and direct == 0.0:
@@ -343,6 +345,26 @@ def test_predict_matches_enumeration_higher_levels():
         assert seen[:4] == traces, (N, seen[:6])
 
 
+def test_predict_matches_enumeration_at_every_enumerable_level():
+    # Gamma(N) for 7 <= N <= 101, the levels counted by enumeration since
+    # N^3 <= ENUM_CAP: exact zeros agree at |t| <= 12, and the nonzero values,
+    # at t = 2 mod N^2 (gamma = 1 mod N forces it), agree to 1e-9 for |t| <= 800
+    assert level_is_enumerable(101) and not level_is_enumerable(102)
+    nonzero = 0
+    for N in range(7, 102):
+        desc = GroupDescriptor.principal(N)
+        traces = {s * a for a in range(3, 13) for s in (1, -1)}
+        traces.update(t for t in range(2 - 800 // (N * N) * N * N, 801, N * N) if abs(t) > 2)
+        for t in sorted(traces, key=abs):
+            pred = predict_dpsi(desc, t)
+            enum = dpsi_enumerated(N, t)
+            assert (pred == 0.0) == (enum == 0.0), (N, t)
+            if enum:
+                nonzero += 1
+                assert abs(pred - enum) <= 1e-9 * enum, (N, t, pred, enum)
+    assert nonzero == 170
+
+
 def _contains_minus_one_explicitly(kind, n, p):
     """Whether -1 lies in U^n, by congruence membership of an explicit -1."""
     from geomatch.orders import DivisionModel, MatElt, congruence_subgroup_membership
@@ -365,9 +387,10 @@ def test_minus_one_rule_matches_explicit_membership():
 
 
 def test_geodesic_c_factor_matches_group_membership():
-    from geomatch.geodesics import c_factor
+    # the staircase against the definition: -1 lies in Gamma(N) exactly when
+    # -1 = 1 mod N, that is when N divides 2
     for N in range(1, 200):
-        assert c_factor(N) == group_c_factor(GroupDescriptor.principal(N)), N
+        assert (c_factor(GroupDescriptor.principal(N)) == Fraction(1, 2)) == (2 % N == 0), N
 
 
 def test_factor_support_is_primes_of_discriminant_plus_descriptor():
@@ -451,7 +474,7 @@ def test_predict_is_gamma1_times_ratio_over_own_primes():
     # of dividing the full products: 0.5 dpsi_1 / P_1 * P_desc / c
     gamma1 = GroupDescriptor.principal(1)
     for desc in _ratio_descriptors():
-        c = group_c_factor(desc)
+        c = c_factor(desc)
         for at in range(3, 141):
             for t in (at, -at):
                 ratio = Fraction(1)
@@ -580,7 +603,6 @@ def test_global_path_builds_no_p_adic_element(monkeypatch):
     import sys
     from geomatch import padic
     from geomatch.assembly import local_ratio
-    from geomatch.geodesics import c_factor
 
     own = {t: _factors_at_own_element(MAX_EXPONENT, t, 2) for t in EDGE_TRACES}
     assert {local_type(t, 2).torus for t in EDGE_TRACES} == \
@@ -595,7 +617,7 @@ def test_global_path_builds_no_p_adic_element(monkeypatch):
                 if any(val is orig for orig in originals):
                     monkeypatch.setattr(mod, attr, refuse)
     monkeypatch.setattr(padic.PAdicContext, "__post_init__", refuse)
-    for cache in (local_factor, local_ratio, local_type, group_c_factor, c_factor):
+    for cache in (local_factor, local_ratio, local_type, c_factor):
         cache.cache_clear()
     for ram, exps, x in CI_RELATIONS:
         psi_relation(RamifiedLevelData(ram, exps), x)
@@ -633,7 +655,7 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
     # the quaternion descriptor: at each trace, the descriptor's own primes
     # in order, up to the first vanishing factor
     from geomatch.assembly import local_ratio
-    from geomatch.geodesics import MAX_SPLITTING_LEVEL, signed_traces
+    from geomatch.geodesics import signed_traces
     local_factor.cache_clear()
     local_ratio.cache_clear()
     datas = [RamifiedLevelData(ram, exps) for ram, exps in RELATION_POOL]
@@ -645,7 +667,7 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
         terms, qdesc = relation_terms(data)
         for desc in (*(desc for _, _, desc in terms), qdesc):
             N = desc.principal_level()
-            if N is not None and N <= MAX_SPLITTING_LEVEL:
+            if N is not None and level_is_enumerable(N):
                 continue
             for t in signed_traces(3, trace_bound(2e4)):
                 for p, kind, level in desc.entries:

@@ -31,7 +31,7 @@ def test_version(capsys):
 def test_usage_errors(tmp_path, capsys):
     assert main(["verify-local", "--p", "7"]) == EXIT_USAGE
     assert main(["relation", "--ramified", "2,3,5"]) == EXIT_USAGE
-    assert main(["spectrum", "--level", "9"]) == EXIT_USAGE
+    assert main(["spectrum", "--level", "0"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["coverage", "--M", "0"]) == EXIT_USAGE
     assert main(["coverage", "--M", "1"]) == EXIT_USAGE
@@ -90,7 +90,10 @@ def test_usage_errors(tmp_path, capsys):
                  ["relation", "--x-max", "100", "--ramified",
                   "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"],
                  # a grid above ENUM_CAP points fails before it is built
-                 ["spectrum", "--x-count", "100000000"]):
+                 ["spectrum", "--x-count", "100000000"],
+                 # Gamma(N) is counted only while N^3 <= ENUM_CAP, so up to N = 101;
+                 # at the prime 2^61 - 1, N^3 is read before any trial division
+                 ["spectrum", "--level", "102"], ["spectrum", "--level", str(2 ** 61 - 1)]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv
@@ -112,10 +115,21 @@ def test_config_values_obey_flag_rules(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     for command, line in (("coverage", "torus=bogus"), ("coverage", "torus=split"),
                           ("spectrum", "fmt=xml"), ("coverage", "decomposition=bogus"),
-                          ("verify-local", "p=7"), ("spectrum", "level=9"),
+                          ("verify-local", "p=7"), ("spectrum", "level=0"),
                           ("relation", "x_max=nan"), ("verify-matching", "primes=7")):
         conf.write_text(line + "\n")
         assert main([command, "--config", str(conf)]) == EXIT_USAGE, line
+
+
+def test_config_keys_take_the_flag_spelling(tmp_path, capsys):
+    # format= is the --format flag's spelling of its dest fmt, and obeys its rule
+    conf = tmp_path / "format.conf"
+    argv = ["spectrum", "--x-max", "100", "--x-count", "2", "--config", str(conf)]
+    conf.write_text("format=csv\n")
+    code, out = run(argv, capsys)
+    assert code == EXIT_OK and "\nx,psi,psi_minus_x," in out
+    conf.write_text("format=xml\n")
+    assert main(argv) == EXIT_USAGE
 
 
 def test_coverage_torus_only_where_a_torus_is_sampled(tmp_path, capsys):

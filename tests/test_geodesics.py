@@ -157,8 +157,15 @@ def test_gamma_splitting_matches_subgroup_enumeration():
 
 
 def test_splitting_rejects_large_level():
-    with pytest.raises(ValueError):
-        gamma_splitting(sl2_classes(3)[0], 7)
+    # Gamma(N) is split by walking SL2(Z/N) while N^3 <= ENUM_CAP, so up to N = 101
+    # trace 51 = 2 + 7^2: its content-7 class lies in Gamma(7) and splits
+    splits = {cls.content: gamma_splitting(cls, 7) for cls in sl2_classes(51)}
+    assert splits[7][0] > 0 and splits[1][0] == 0
+    for t, N in ((51, 7), (3, 7), (-47, 7), (3, 101)):
+        for cls in sl2_classes(t):
+            assert gamma_splitting(cls, N) == _splitting_by_subgroup(cls, N), (t, N)
+    with pytest.raises(EnumerationTooLarge):
+        gamma_splitting(sl2_classes(3)[0], 102)
 
 
 def test_dpsi_values():
