@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geodesics import (
-    GroupDescriptor, c_factor, dpsi_enumerated, level_is_enumerable, signed_traces, trace_bound,
-)
+from .geodesics import GroupDescriptor, c_factor, dpsi_enumerated, signed_traces, trace_bound
 from .integrals import matched_value, matching_combination, orbital, TestFunctionSpec
 from .orders import OrderKind
 from .padic import (
@@ -184,11 +182,11 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
 def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
     """(dpsi, mode) of the group at trace t.
 
-    Enumerated where the group is Gamma(N) with level_is_enumerable(N),
-    predicted from the local factors everywhere else.
+    Enumerated where the group is Gamma(N), at any level N, and predicted
+    from the local factors everywhere else.
     """
     N = desc.principal_level()
-    if N is not None and level_is_enumerable(N):
+    if N is not None:
         return dpsi_enumerated(N, t), "enumerated"
     return predict_dpsi(desc, t), "predicted"
 

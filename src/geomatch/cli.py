@@ -12,8 +12,7 @@ exits 64 on an explicit --torus for split-M or split-J, which use no torus.
 relation exits 1 where c_D dpsi_D misses sum_I coeff_I c_I dpsi_I, and 64 on an
 --exponents level above 1000 (assembly.MAX_EXPONENT) or a prime above 2^40
 (MAX_PRIME); verify-local exits 64 on an --M outside [1, 1000] (MAX_VERIFY_M).
-spectrum and report exit 3 on a grid of more than 2^20 x values, and with
-classes on a --level N above 101, where N^3 exceeds 2^20.
+spectrum and report exit 3 on a grid of more than 2^20 x values.
 """
 
 from __future__ import annotations

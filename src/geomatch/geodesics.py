@@ -4,7 +4,7 @@ Classes of trace t correspond to integral binary quadratic forms of
 discriminant t^2 - 4 (including imprimitive ones, one m-scaled copy for each
 m^2 dividing the discriminant) up to proper equivalence; cycles of reduced
 forms enumerate them, Pell units give the primitive hyperbolic generators,
-and reduction mod N splits classes into Gamma(N) while N^3 <= ENUM_CAP.
+and reduction mod N splits classes into Gamma(N) at every level N.
 All surd arithmetic is exact; logarithms are taken only at output.
 """
 
@@ -304,9 +304,9 @@ def c_factor(desc: GroupDescriptor) -> Fraction:
     return Fraction(1)
 
 
-def level_is_enumerable(N: int) -> bool:
-    """Whether Gamma(N) is split by walking SL2(Z/N): N^3 <= ENUM_CAP, that is N <= 101."""
-    return N ** 3 <= ENUM_CAP
+def _principal_c(N: int) -> Fraction:
+    """c_factor of Gamma(N) without factoring N: -1 = 1 mod N exactly when N divides 2."""
+    return Fraction(1, 2) if 2 % N == 0 else Fraction(1)
 
 
 @lru_cache(maxsize=None)  # gamma_splitting asks once per class
@@ -325,27 +325,27 @@ def _mod(mat, N):
 def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
     """(count, primitive_index) of the class under the level-N splitting.
 
-    primitive_index is m*, the least m with gamma0^m = +-1 mod N, found by
-    walking the powers of gamma0 mod N.  The image of the centralizer
-    <gamma0, -1> then has m* elements when -1 = 1 mod N and 2 m* otherwise,
-    so count, the number of level-N classes inside the SL2(Z)-class, is
-    |SL2(Z/N)| over that size when gamma = 1 mod N and 0 otherwise.
+    count, the number of level-N classes inside the SL2(Z)-class, is 0 unless
+    gamma = 1 mod N, and then (0, 0) is returned without a walk.  Otherwise
+    primitive_index is m*, the least m with gamma0^m = +-1 mod N: gamma is
+    +-gamma0^(+-power), so m* divides power and the walk over the powers of
+    gamma0 mod N takes at most power steps.  The image of the centralizer
+    <gamma0, -1> has m* elements when -1 = 1 mod N and 2 m* otherwise, and
+    count is |SL2(Z/N)| over that size.
     """
-    if not level_is_enumerable(N):
-        raise EnumerationTooLarge(f"level {N}: N^3 exceeds the cap {ENUM_CAP}")
     if N == 1:
         return 1, 1
-    total = sl2_group_order(N)
     ident, neg = (1, 0, 0, 1), (N - 1, 0, 0, N - 1)
+    if _mod(cls.gamma, N) != ident:
+        return 0, 0
     g0 = _mod(cls.gamma0, N)
     cur, mstar = g0, 1
-    while cur != ident and cur != neg:
-        if mstar >= total:
-            raise AssertionError("gamma0 mod N does not reach +-1 within |SL2(Z/N)| steps")
+    while cur != ident and cur != neg and mstar < cls.power:
         cur = _mod(_mat_mul(cur, g0), N)
         mstar += 1
-    if _mod(cls.gamma, N) != ident:
-        return 0, mstar
+    if (cur != ident and cur != neg) or cls.power % mstar:
+        raise AssertionError("gamma0 mod N does not reach +-1 at a divisor of the class's power")
+    total = sl2_group_order(N)
     size = mstar if neg == ident else 2 * mstar  # |<gamma0, -1> mod N|
     assert total % size == 0
     return total // size, mstar
@@ -388,7 +388,7 @@ def trace_row(N: int, t: int) -> TraceRow:
         weight += count * mstar * cls.log_x0()
         if cls.power == mstar:
             primitive += count
-    c = c_factor(GroupDescriptor.principal(N))
+    c = _principal_c(N)
     return TraceRow(t, len(classes), in_level, weight, primitive, float(c) * 2.0 * weight)
 
 
@@ -448,11 +448,11 @@ def _counts(N: int, xs) -> list[tuple[float, int]]:
     t: gamma and -gamma give one class when -1 is in the group.
     """
     bounds = [trace_bound(x) for x in xs]
-    psi, pi = [0], [0]
+    psi, pi = [0.0], [0]
     for row in trace_table(N, max(bounds, default=2)):
         psi.append(psi[-1] + row.contribution)
         pi.append(pi[-1] + row.primitive)
-    c = c_factor(GroupDescriptor.principal(N))
+    c = _principal_c(N)
     out = []
     for tmax in bounds:
         k = 2 * (tmax - 2)

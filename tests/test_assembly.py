@@ -19,8 +19,7 @@ from geomatch.assembly import (
     relation_terms,
 )
 from geomatch.geodesics import (
-    GroupDescriptor, c_factor, dpsi_enumerated, level_is_enumerable, psi_enumerated,
-    trace_bound,
+    GroupDescriptor, c_factor, dpsi_enumerated, psi_enumerated, trace_bound,
 )
 from geomatch.integrals import matching_combination
 from geomatch.orders import OrderKind
@@ -246,7 +245,8 @@ def test_psi_relation_report():
 def test_dpsi_value_modes():
     assert dpsi_value(GroupDescriptor.principal(2), 6)[1] == "enumerated"
     assert dpsi_value(GroupDescriptor.principal(7), 9)[1] == "enumerated"
-    assert dpsi_value(GroupDescriptor.principal(102), 9)[1] == "predicted"
+    # every principal group is enumerated: at N = 102, gamma = 1 mod N fails at once
+    assert dpsi_value(GroupDescriptor.principal(102), 9) == (0.0, "enumerated")
 
 
 def test_local_factor_examples():
@@ -345,13 +345,13 @@ def test_predict_matches_enumeration_higher_levels():
         assert seen[:4] == traces, (N, seen[:6])
 
 
-def test_predict_matches_enumeration_at_every_enumerable_level():
-    # Gamma(N) for 7 <= N <= 101, the levels counted by enumeration since
-    # N^3 <= ENUM_CAP: exact zeros agree at |t| <= 12, and the nonzero values,
-    # at t = 2 mod N^2 (gamma = 1 mod N forces it), agree to 1e-9 for |t| <= 800
-    assert level_is_enumerable(101) and not level_is_enumerable(102)
+def test_predict_matches_enumeration_at_principal_levels():
+    # Gamma(N) for 7 <= N <= 120 and N = 1000, 10^6: exact zeros agree at
+    # |t| <= 12, and the nonzero values, at t = 2 mod N^2 (gamma = 1 mod N
+    # forces it), agree to 1e-9 for |t| <= 800; above N = 28 no such trace is
+    # in range, and above N = 56 none is below MAX_TRACE, so both sides are 0
     nonzero = 0
-    for N in range(7, 102):
+    for N in (*range(7, 121), 1000, 10 ** 6):
         desc = GroupDescriptor.principal(N)
         traces = {s * a for a in range(3, 13) for s in (1, -1)}
         traces.update(t for t in range(2 - 800 // (N * N) * N * N, 801, N * N) if abs(t) > 2)
@@ -359,6 +359,8 @@ def test_predict_matches_enumeration_at_every_enumerable_level():
             pred = predict_dpsi(desc, t)
             enum = dpsi_enumerated(N, t)
             assert (pred == 0.0) == (enum == 0.0), (N, t)
+            if N > 56:
+                assert pred == enum == 0.0, (N, t)
             if enum:
                 nonzero += 1
                 assert abs(pred - enum) <= 1e-9 * enum, (N, t, pred, enum)
@@ -666,8 +668,7 @@ def test_relation_pool_builds_one_local_factor_per_local_type():
     for data in datas:
         terms, qdesc = relation_terms(data)
         for desc in (*(desc for _, _, desc in terms), qdesc):
-            N = desc.principal_level()
-            if N is not None and level_is_enumerable(N):
+            if desc.principal_level() is not None:
                 continue
             for t in signed_traces(3, trace_bound(2e4)):
                 for p, kind, level in desc.entries:

@@ -90,13 +90,18 @@ def test_usage_errors(tmp_path, capsys):
                  ["relation", "--x-max", "100", "--ramified",
                   "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61"],
                  # a grid above ENUM_CAP points fails before it is built
-                 ["spectrum", "--x-count", "100000000"],
-                 # Gamma(N) is counted only while N^3 <= ENUM_CAP, so up to N = 101;
-                 # at the prime 2^61 - 1, N^3 is read before any trial division
-                 ["spectrum", "--level", "102"], ["spectrum", "--level", str(2 ** 61 - 1)]):
+                 ["spectrum", "--x-count", "100000000"]):
         t0 = time.perf_counter()
         assert main(argv) == EXIT_TOO_LARGE, argv
         assert time.perf_counter() - t0 < 1.0, argv
+    # Gamma(N) is counted at every level: gamma = 1 mod N is tested before any
+    # walk, and no hyperbolic class lies in Gamma(N) once N^2 exceeds MAX_TRACE + 2
+    for level in ("102", str(2 ** 61 - 1)):
+        out = tmp_path / f"level{level}.json"
+        t0 = time.perf_counter()
+        assert main(["spectrum", "--level", level, "--out", str(out)]) == EXIT_OK, level
+        assert time.perf_counter() - t0 < 1.0, level
+        assert all(r["pi"] == 0 for r in json.loads(out.read_text())["results"]), level
     # an explicit grid one point above ENUM_CAP; parsing it alone takes ~0.6 s
     assert main(["report", "--x-grid", ",".join(["100"] * (ENUM_CAP + 1))]) == EXIT_TOO_LARGE
 

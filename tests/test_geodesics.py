@@ -1,7 +1,8 @@
 import math
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geomatch.geodesics import (
     MAX_TRACE,
@@ -141,7 +142,7 @@ def _splitting_by_subgroup(cls, N):
     if neg not in subgroup:
         subgroup |= {tuple(-e % N for e in x) for x in powers}
     if tuple(e % N for e in cls.gamma) != ident:
-        return 0, mstar
+        return 0, 0  # m* is reported only with a nonzero count
     total = sl2_group_order(N)
     assert total % len(subgroup) == 0
     return total // len(subgroup), mstar
@@ -156,16 +157,53 @@ def test_gamma_splitting_matches_subgroup_enumeration():
                     assert gamma_splitting(cls, N) == expected, (t, cls.form, N)
 
 
-def test_splitting_rejects_large_level():
-    # Gamma(N) is split by walking SL2(Z/N) while N^3 <= ENUM_CAP, so up to N = 101
+def test_splitting_at_large_levels():
     # trace 51 = 2 + 7^2: its content-7 class lies in Gamma(7) and splits
     splits = {cls.content: gamma_splitting(cls, 7) for cls in sl2_classes(51)}
-    assert splits[7][0] > 0 and splits[1][0] == 0
+    assert splits[7][0] > 0 and splits[1] == (0, 0)
     for t, N in ((51, 7), (3, 7), (-47, 7), (3, 101)):
         for cls in sl2_classes(t):
             assert gamma_splitting(cls, N) == _splitting_by_subgroup(cls, N), (t, N)
-    with pytest.raises(EnumerationTooLarge):
-        gamma_splitting(sl2_classes(3)[0], 102)
+    # gamma = 1 mod N is tested before any walk, so no level is too large
+    for N in (102, 10 ** 6, 2 ** 61 - 1):
+        for cls in sl2_classes(3):
+            assert gamma_splitting(cls, N) == (0, 0), N
+
+
+@st.composite
+def _level_and_trace_in_gamma_n(draw):
+    """N in 2..56 and t = 2 mod N^2 with 2 < |t| <= MAX_TRACE, either sign."""
+    N = draw(st.integers(2, 56))
+    sign = draw(st.sampled_from((1, -1)))
+    j = draw(st.integers(1, (MAX_TRACE - 2 * sign) // (N * N)))
+    t = 2 + sign * j * N * N
+    assume(abs(t) > 2)
+    return N, t
+
+
+@settings(max_examples=30, deadline=None)
+@given(_level_and_trace_in_gamma_n())
+@example((2, -34)).via("m* = 1 < power 2")
+@example((3, -322)).via("m* = 2 < power 6")
+@example((5, 527)).via("m* = 2 < power 4")
+@example((7, 2207)).via("m* = 2 < power 4")
+def test_gamma_splitting_walk_stops_at_mstar(level_and_trace):
+    # gamma = 1 mod N is possible only at t = 2 mod N^2; there the walk is
+    # bounded by the class's power, and m* can be a proper divisor of it
+    N, t = level_and_trace
+    for cls in sl2_classes(t):
+        assert gamma_splitting(cls, N) == _splitting_by_subgroup(cls, N), (N, t, cls.form)
+
+
+def test_counts_at_large_levels_and_below_the_first_trace():
+    # no trace and no class is read for x below 4, and no level is too large
+    t0 = time.perf_counter()
+    for N, xs in ((2 ** 61 - 1, [3.0, 100.0]), (102, [3.0])):
+        rows = pgt_report(N, xs)
+        assert [(r.psi, r.pi) for r in rows] == [(0.0, 0)] * len(xs), N
+    assert time.perf_counter() - t0 < 1.0
+    # psi is a float even where no trace contributes
+    assert type(psi_enumerated(1, 6.5)) is float
 
 
 def test_dpsi_values():
