@@ -101,7 +101,7 @@ def pmap(fn, items):
     """In-order map, kept only because the benchmark's tracer wraps it.
 
     Nothing in geomatch calls it; it is deleted together with the tracer's
-    cli.pmap layers when the benchmark is next refreshed (ROADMAP item 5).
+    cli.pmap layers when the benchmark is next refreshed (ROADMAP item 20).
     """
     return [fn(it) for it in items]
 

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .integrals import TestFunctionSpec
 from .orders import (
@@ -33,7 +34,6 @@ from .orders import (
     norm_image_level,
     order_membership,
     order_unit_index,
-    pi_matrix_inv,
     radical_power_membership,
     scaled_order_level,
     split_conjugate,
@@ -527,48 +527,44 @@ class CoverageReport:
                 "ok": self.ok}
 
 
-def _sample_entries(rng: random.Random, p: int, M: int,
-                    unit_det: bool) -> tuple[int, int, int, int]:
-    """Uniform sample with unit determinant, or with 1 <= v(det) <= M-1.
-
-    Each entry is k = bit_length(p^M) random bits, redrawn until below p^M:
-    the bits rng.randrange(p^M) consumes, so the stream does not depend on
-    how randrange is implemented.
-    """
-    mod = p ** M
-    k = mod.bit_length()
-    getrandbits = rng.getrandbits
-    while True:
-        entries = []
-        for _ in range(4):
-            e = getrandbits(k)
-            while e >= mod:
-                e = getrandbits(k)
-            entries.append(e)
-        a, b, c, d = entries
-        det = (a * d - b * c) % p ** max(M, 4)
-        if unit_det:
-            if det % p:
-                return a, b, c, d
-        elif det and det % p == 0 and integer_valuation(det, p) < M:
-            return a, b, c, d
-
-
 @lru_cache(maxsize=1)
 def _coverage_samples(p: int, M: int, samples: int, seed: int) -> Sequence[int]:
     """The seeded sample stream of one coverage run, read by every decomposition.
 
-    Sample idx has unit determinant when idx is even.  Each matrix is packed
-    as the base-p^M integer with digits (a, b, c, d), 8 bytes a sample in an
-    array('Q') while p^(4M) fits in 64 bits and a list of ints beyond.
+    Sample idx is uniform with unit determinant when idx is even, and with
+    1 <= v(det) <= M-1 when idx is odd.  Each entry is k = bit_length(p^M)
+    random bits, redrawn until below p^M: the bits rng.randrange(p^M)
+    consumes, so the stream does not depend on how randrange is implemented.
+    Each matrix is packed as the base-p^M integer with digits (a, b, c, d),
+    8 bytes a sample in an array('Q') while p^(4M) fits in 64 bits and a
+    list of ints beyond.
     """
     from array import array  # here, so that only coverage loads it (0.1 MiB RSS)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     mod = p ** M
+    k = mod.bit_length()
     out = array("Q") if mod ** 4 <= 1 << 64 else []
+    append = out.append
     for idx in range(samples):
-        a, b, c, d = _sample_entries(rng, p, M, unit_det=(idx % 2 == 0))
-        out.append(((a * mod + b) * mod + c) * mod + d)
+        unit_det = idx % 2 == 0
+        while True:
+            a = getrandbits(k)
+            while a >= mod:
+                a = getrandbits(k)
+            b = getrandbits(k)
+            while b >= mod:
+                b = getrandbits(k)
+            c = getrandbits(k)
+            while c >= mod:
+                c = getrandbits(k)
+            d = getrandbits(k)
+            while d >= mod:
+                d = getrandbits(k)
+            # det nonzero mod p^M: a unit, or 1 <= v(det) <= M-1
+            det = (a * d - b * c) % mod
+            if det and (det % p != 0) == unit_det:
+                break
+        append(((a * mod + b) * mod + c) * mod + d)
     return out
 
 
@@ -606,50 +602,43 @@ def _classified_stream(p: int, M: int, samples: int, seed: int,
 
 
 def _guarded_val(ctx: PAdicContext, x: int, big: int) -> int:
-    if x % ctx.modulus == 0:
+    x %= ctx.modulus
+    if x == 0:
         return big
-    return integer_valuation(x % ctx.modulus, ctx.p)
-
-
-def _split_route(g: MatElt, kind: OrderKind) -> tuple[MatElt, int]:
-    """Peel a Pi factor (J) or column swap (M) so the clearing op is integral.
-
-    Returns (g', side) with g = g' * (peeled factor), side 1 when peeled.
-    """
-    ctx = g.ctx
-    big = 10 * ctx.M
-    vc = _guarded_val(ctx, g.e21, big)
-    vd = _guarded_val(ctx, g.e22, big)
-    if kind is OrderKind.J:
-        if vc > vd:
-            return g, 0
-        return g * pi_matrix_inv(ctx), 1
-    if vc >= vd:
-        return g, 0
-    swap = MatElt.from_rows(ctx, ((0, 1), (1, 0)))
-    return g * swap, 1
+    return ctx.power_exponents[gcd(x, ctx.modulus)]
 
 
 _NO_INVERSE = "no-inverse"  # outcome of a sample singular at the working precision
 
 
-def _split_classify_witness(g0: MatElt, kind: OrderKind) -> tuple[int, int, bool] | str:
-    """(r, side, witnessed): classify g0 and verify g0 in T n(p^-r) K_O.
+def _split_classify_witness(work: PAdicContext, kind: OrderKind,
+                            entries: tuple[int, int, int, int]) -> tuple[int, int, bool] | str:
+    """(r, side, witnessed): classify g0 = entries and verify g0 in T n(p^-r) K_O.
 
-    The witness is h = n(-p^-r) diag(unit-part(u),1)^-1 tau^-1 g in K_O with
-    tau = diag(det/d, d) read off the cleared matrix; everything is exact.
+    g0 is first routed to g = g0 * (peeled factor): a Pi^-1 = (0 1; p 0) / p
+    factor for J unless v(c) > v(d), a column swap for M when v(c) < v(d);
+    side is 1 when a factor was peeled.  The witness is
+    h = n(-p^-r) diag(unit-part(u),1)^-1 tau^-1 g in K_O with
+    tau = diag(det/d, d) read off g; everything is exact integer arithmetic
+    on the four entries mod the working modulus, and h is the one MatElt built.
     _NO_INVERSE when d or det vanishes at the working precision.
     """
-    ctx = g0.ctx
-    p, mod = ctx.p, ctx.modulus
-    g, side = _split_route(g0, kind)
-    den = g.den
-    b_int, d_int = g.e12, g.e22
-    det_int = g.det_int()
-    big = 10 * ctx.M
-    vb_i = _guarded_val(ctx, b_int, big)
-    vd_i = _guarded_val(ctx, d_int, big)
-    vdet_i = _guarded_val(ctx, det_int, big)
+    p, mod = work.p, work.modulus
+    big = 10 * work.M
+    a, b, c, d = entries
+    vc = _guarded_val(work, c, big)
+    vd = _guarded_val(work, d, big)
+    if kind is OrderKind.J:
+        side = int(vc <= vd)
+        g11, g12, g21, g22, den = (b * p, a, d * p, c, 1) if side else (a, b, c, d, 0)
+    else:
+        side = int(vc < vd)
+        g11, g12, g21, g22, den = (b, a, d, c, 0) if side else (a, b, c, d, 0)
+    b_int, d_int = g12 % mod, g22 % mod
+    det_int = (g11 * g22 - g12 * g21) % mod
+    vb_i = _guarded_val(work, b_int, big)
+    vd_i = _guarded_val(work, d_int, big)
+    vdet_i = _guarded_val(work, det_int, big)
     if vd_i >= big or vdet_i >= big:
         return _NO_INVERSE
     vb, vd, vdet = vb_i - den, vd_i - den, vdet_i - 2 * den
@@ -666,10 +655,13 @@ def _split_classify_witness(g0: MatElt, kind: OrderKind) -> tuple[int, int, bool
     id_unit = pow(d_unit, -1, mod)
     # true values: 1/((det/d) u) has valuation vd - vdet, 1/d has -vd
     E = max(vdet - vd, vd, 0)
-    tau_inv = MatElt.from_rows(ctx, ((p ** (E - (vdet - vd)) * ia_unit, 0),
-                                     (0, p ** (E - vd) * id_unit)), den=E)
-    n_neg = MatElt.from_rows(ctx, ((p ** r, -1), (0, p ** r)), den=r)
-    h = n_neg * tau_inv * g
+    # n(-p^-r) tau^-1 = ((p^r x, -y), (0, p^r y)) / p^(r+E) with
+    # tau^-1 = diag(x, y) / p^E
+    pr = p ** r
+    x = pr * p ** (E - (vdet - vd)) * ia_unit
+    y = p ** (E - vd) * id_unit
+    h = MatElt(work, (x * g11 - y * g21) % mod, (x * g12 - y * g22) % mod,
+               pr * y * g21 % mod, pr * y * g22 % mod, r + E + den)
     try:
         ok = in_normalizer(kind, h)
     except PrecisionExhausted:
@@ -737,7 +729,7 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
                 rep.violations.append({"type": "cosets-intersect", "r1": r1, "r2": r2})
 
     def classify(entries):
-        return _split_classify_witness(MatElt(work, *entries), kind)
+        return _split_classify_witness(work, kind, entries)
 
     for idx, entries, outcome in _classified_stream(p, M, samples, seed, classify):
         if outcome == _NO_INVERSE:
@@ -795,22 +787,49 @@ def _intertwiner(work: PAdicContext, X: MatElt, Y: MatElt) -> MatElt | None:
     return best
 
 
+def _conjugated(theta: MatElt, entries: tuple[int, int, int, int]) -> MatElt:
+    """g^-1 theta g for g = entries, field by field theta.conj_by(MatElt(ctx, *entries)).
+
+    g^-1 = adj(g) u^-1 / p^v(det), with u the unit part of det mod
+    ctx.modulus, so the product is adj(g) theta g u^-1 at denominator
+    v(det) + theta.den.  Raises PrecisionExhausted where MatElt.inv does:
+    det vanishing at the precision.
+    """
+    ctx, t11, t12, t21, t22, tden = theta
+    mod = ctx.modulus
+    a, b, c, d = entries
+    det = (a * d - b * c) % mod
+    vdet = ctx.val(det)
+    ui = ctx.inv(det // ctx.p ** vdet)
+    x11, x12 = t11 * a + t12 * c, t11 * b + t12 * d  # theta g
+    x21, x22 = t21 * a + t22 * c, t21 * b + t22 * d
+    return MatElt(ctx, (d * x11 - b * x21) * ui % mod, (d * x12 - b * x22) * ui % mod,
+                  (a * x21 - c * x11) * ui % mod, (a * x22 - c * x12) * ui % mod,
+                  vdet + tden)
+
+
 def _nonsplit_deep_witness(work: PAdicContext, torus: TorusData, kind: OrderKind,
-                           g: MatElt, r: int) -> bool:
-    """Exhibit y in E^x, k in K_O with g in iota(E^x) a_r K_O, by unit-grid scan."""
-    base = MatrixEmbedding(torus, OrderKind.M, 0)
-    Y = base.of_coords(0, 1).conj_by(g)
+                           entries: tuple[int, int, int, int], r: int) -> bool:
+    """Exhibit y in E^x, k in K_O with g in iota(E^x) a_r K_O, by unit-grid scan.
+
+    of_coords is linear in (alpha, beta), so k = of_coords(alpha, beta) P is
+    alpha K0 + beta K1 with K0, K1 the products at (1, 0) and (0, 1).
+    """
+    Y = _conjugated(MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1), entries)
     emb = checked_embedding(torus, kind, r)
     X = emb.of_coords(0, 1)
     P = _intertwiner(work, X, Y)
     if P is None:
         return False
-    p = work.p
+    p, mod = work.p, work.modulus
+    _, a0, b0, c0, d0, den = emb.of_coords(1, 0) * P
+    _, a1, b1, c1, d1, _ = X * P
     for alpha in range(p * p):
         for beta in range(p * p):
             if alpha % p == 0 and beta % p == 0:
                 continue
-            k = emb.of_coords(alpha, beta) * P
+            k = MatElt(work, (alpha * a0 + beta * a1) % mod, (alpha * b0 + beta * b1) % mod,
+                       (alpha * c0 + beta * c1) % mod, (alpha * d0 + beta * d1) % mod, den)
             try:
                 if in_normalizer(kind, k):
                     return True
@@ -843,7 +862,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
     def level(entries):
         """The optimal-embedding level, None when there is none, or _NO_INVERSE."""
         try:
-            Y = theta.conj_by(MatElt(work, *entries))
+            Y = _conjugated(theta, entries)
         except PrecisionExhausted:  # det(g) vanishes at the working precision
             return _NO_INVERSE
         return scaled_order_level(kind, Y, bound)
@@ -862,7 +881,7 @@ def coset_coverage_nonsplit(kind: OrderKind, torus_kind: str, p: int, M: int,
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
         if idx < DEEP_WITNESSES:
-            if _nonsplit_deep_witness(work, torus, kind, MatElt(work, *entries), r):
+            if _nonsplit_deep_witness(work, torus, kind, entries, r):
                 rep.deep_witness_checked += 1
             else:
                 rep.violations.append({"type": "no-witness", "sample": idx,

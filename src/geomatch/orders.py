@@ -112,11 +112,6 @@ class MatElt(_MatFields):
         return g.inv() * self * g
 
 
-def pi_matrix_inv(ctx: PAdicContext) -> MatElt:
-    """(0 1; p 0)^-1 = (0 1; p 0) / p."""
-    return MatElt(ctx, 0, 1, ctx.p % ctx.modulus, 0, den=1)
-
-
 # The radical staircase of each chain order, (slope, shifts): x lies in rad^n
 # when v(e_i) - den >= ceil((slope n + shift_i) / 2) for each of its four
 # entries e_i, the matrix entries for M and J and (u0, u1, w0, w1) of

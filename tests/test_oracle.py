@@ -2,10 +2,11 @@ import json
 import random
 from array import array
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from geomatch import oracle
+from geomatch import oracle, orders
 from geomatch.cli import main
 from geomatch.integrals import TestFunctionSpec, orbital
 from geomatch.oracle import (
@@ -32,6 +33,7 @@ from geomatch.orders import (
     in_normalizer,
     norm_image_level,
     order_unit_index,
+    scaled_order_level,
 )
 from geomatch.padic import (
     EnumerationTooLarge,
@@ -242,6 +244,83 @@ def _fresh_sample(rng, p, M, work, unit_det):
             return MatElt.from_rows(work, ((a, b), (c, d)))
 
 
+def _reference_guarded_val(ctx, x, big):
+    if x % ctx.modulus == 0:
+        return big
+    return integer_valuation(x % ctx.modulus, ctx.p)
+
+
+def _reference_split_route(g, kind):
+    """Peel a Pi factor (J) or column swap (M) so the clearing op is integral."""
+    ctx = g.ctx
+    big = 10 * ctx.M
+    vc = _reference_guarded_val(ctx, g.e21, big)
+    vd = _reference_guarded_val(ctx, g.e22, big)
+    if kind is OrderKind.J:
+        if vc > vd:
+            return g, 0
+        return g * MatElt(ctx, 0, 1, ctx.p, 0, den=1), 1  # Pi^-1 = (0 1; p 0) / p
+    if vc >= vd:
+        return g, 0
+    return g * MatElt.from_rows(ctx, ((0, 1), (1, 0))), 1
+
+
+def _reference_split_classify_witness(g0, kind):
+    """The split classifier and witness built from MatElt products, as first written."""
+    ctx = g0.ctx
+    p, mod = ctx.p, ctx.modulus
+    g, side = _reference_split_route(g0, kind)
+    den = g.den
+    b_int, d_int = g.e12, g.e22
+    det_int = g.det_int()
+    big = 10 * ctx.M
+    vb_i = _reference_guarded_val(ctx, b_int, big)
+    vd_i = _reference_guarded_val(ctx, d_int, big)
+    vdet_i = _reference_guarded_val(ctx, det_int, big)
+    if vd_i >= big or vdet_i >= big:
+        return oracle._NO_INVERSE
+    vb, vd, vdet = vb_i - den, vd_i - den, vdet_i - 2 * den
+    vu = vb + vd - vdet if vb_i < big else big
+    r = max(0, -vu)
+    det_unit = det_int // p ** vdet_i % mod
+    d_unit = d_int // p ** vd_i % mod
+    u_unit = 1
+    if r >= 1:
+        u_unit = (b_int // p ** vb_i) * d_unit % mod * pow(det_unit, -1, mod) % mod
+    ia_unit = pow(u_unit * det_unit % mod, -1, mod) * d_unit % mod
+    id_unit = pow(d_unit, -1, mod)
+    E = max(vdet - vd, vd, 0)
+    tau_inv = MatElt.from_rows(ctx, ((p ** (E - (vdet - vd)) * ia_unit, 0),
+                                     (0, p ** (E - vd) * id_unit)), den=E)
+    n_neg = MatElt.from_rows(ctx, ((p ** r, -1), (0, p ** r)), den=r)
+    h = n_neg * tau_inv * g
+    try:
+        ok = in_normalizer(kind, h)
+    except PrecisionExhausted:
+        ok = False
+    return r, side, ok
+
+
+def _reference_nonsplit_deep_witness(work, torus, kind, g, r):
+    """The conjugating-witness grid scan built from MatElt products, as first written."""
+    Y = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1).conj_by(g)
+    emb = oracle.checked_embedding(torus, kind, r)
+    P = oracle._intertwiner(work, emb.of_coords(0, 1), Y)
+    if P is None:
+        return False
+    p = work.p
+    for alpha in range(p * p):
+        for beta in range(p * p):
+            if alpha % p == 0 and beta % p == 0:
+                continue
+            try:
+                if in_normalizer(kind, emb.of_coords(alpha, beta) * P):
+                    return True
+            except PrecisionExhausted:
+                continue
+    return False
+
+
 def _fresh_split(kind, p, M, samples, seed):
     """coset_coverage_split as a loop that draws and classifies every sample afresh."""
     rep = oracle.CoverageReport("split-M" if kind is OrderKind.M else "split-J",
@@ -256,7 +335,7 @@ def _fresh_split(kind, p, M, samples, seed):
                 rep.violations.append({"type": "cosets-intersect", "r1": r1, "r2": r2})
     for idx in range(samples):
         g = _fresh_sample(rng, p, M, work, unit_det=(idx % 2 == 0))
-        r, side, ok = oracle._split_classify_witness(g, kind)
+        r, side, ok = _reference_split_classify_witness(g, kind)
         if not ok:
             rep.violations.append({"type": "no-witness", "sample": idx,
                                    "entries": g.entries, "r": r})
@@ -295,7 +374,7 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed):
             continue
         rep.r_histogram[r] = rep.r_histogram.get(r, 0) + 1
         if idx < oracle.DEEP_WITNESSES:
-            if oracle._nonsplit_deep_witness(work, torus, kind, g, r):
+            if _reference_nonsplit_deep_witness(work, torus, kind, g, r):
                 rep.deep_witness_checked += 1
             else:
                 rep.violations.append({"type": "no-witness", "sample": idx,
@@ -317,10 +396,12 @@ def _four_decompositions(coverage_split, coverage_nonsplit, torus_kind, p, M,
 def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo):
     """The shared stream and the per-matrix memo change no report.
 
-    Checked once with the real classifiers, and once with injected faults:
-    split samples whose e11 is divisible by p get no witness, and nonsplit
-    samples whose e12 is divisible by p fail the deep witness.  Violations on
-    repeated matrices must each be reported with their own sample index.
+    The reference loop classifies with the MatElt-built references above.
+    Checked once with the real classifiers, and once with the same faults
+    injected into the kernels and the references: split samples whose e11 is
+    divisible by p get no witness, and nonsplit samples whose e12 is
+    divisible by p fail the deep witness.  Violations on repeated matrices
+    must each be reported with their own sample index.
     """
     monkeypatch.setattr(oracle, "_draws_repeat", lambda p, M, samples: memo)
     seed = 11
@@ -328,16 +409,29 @@ def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo
         if faulty:
             classify = oracle._split_classify_witness
             deep_witness = oracle._nonsplit_deep_witness
+            reference_classify = _reference_split_classify_witness
+            reference_deep_witness = _reference_nonsplit_deep_witness
 
-            def reject_split(g, kind):
-                r, side, ok = classify(g, kind)
+            def reject_split(work, kind, entries):
+                r, side, ok = classify(work, kind, entries)
+                return r, side, ok and entries[0] % p != 0
+
+            def reject_deep(work, torus, kind, entries, r):
+                return entries[1] % p != 0 and deep_witness(work, torus, kind, entries, r)
+
+            def reject_reference_split(g, kind):
+                r, side, ok = reference_classify(g, kind)
                 return r, side, ok and g.e11 % p != 0
 
-            def reject_deep(work, torus, kind, g, r):
-                return g.e12 % p != 0 and deep_witness(work, torus, kind, g, r)
+            def reject_reference_deep(work, torus, kind, g, r):
+                return g.e12 % p != 0 and reference_deep_witness(work, torus, kind, g, r)
 
             monkeypatch.setattr(oracle, "_split_classify_witness", reject_split)
             monkeypatch.setattr(oracle, "_nonsplit_deep_witness", reject_deep)
+            monkeypatch.setitem(globals(), "_reference_split_classify_witness",
+                                reject_reference_split)
+            monkeypatch.setitem(globals(), "_reference_nonsplit_deep_witness",
+                                reject_reference_deep)
         for torus_kind in (UNRAMIFIED, RAMIFIED):
             got = _four_decompositions(coset_coverage_split, coset_coverage_nonsplit,
                                        torus_kind, p, M, samples, seed)
@@ -351,6 +445,66 @@ def test_coverage_matches_fresh_per_sample_loop(monkeypatch, p, M, samples, memo
                     assert len(set(entries)) < len(entries)
             else:
                 assert all(rep["ok"] for rep in got)
+
+
+def _membership_tested(fn, *args):
+    """(fn(*args), every element fn hands to in_normalizer, in order).
+
+    The kernels read in_normalizer from oracle, the references from this file.
+    """
+    real, seen = orders.in_normalizer, []
+
+    def record(kind, x):
+        seen.append(x)
+        return real(kind, x)
+
+    with mock.patch.object(oracle, "in_normalizer", record), \
+            mock.patch.dict(globals(), in_normalizer=record):
+        return fn(*args), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_coverage_kernels_match_matelt_references(data):
+    """The integer kernels agree with the MatElt-built references on any residues.
+
+    Entries are residues mod p^M, each zero, divisible by p or arbitrary; a
+    drawn flag makes the rows proportional, so det = 0.  The split outcome,
+    g^-1 theta g (or PrecisionExhausted on both sides) and the deep witness
+    at the level read off it must agree, and so must every element handed
+    to in_normalizer, field by field.
+    """
+    p = data.draw(st.sampled_from([2, 3]))
+    M = data.draw(st.integers(2, 8))
+    kind = data.draw(st.sampled_from([OrderKind.M, OrderKind.J]))
+    torus_kind = data.draw(st.sampled_from([UNRAMIFIED, RAMIFIED]))
+    mod = p ** M
+    if data.draw(st.booleans()):
+        half = st.integers(0, p ** (M // 2) - 1)
+        x, y, u, v = (data.draw(half) for _ in range(4))
+        entries = (x * u, x * v, y * u, y * v)
+    else:
+        entry = st.one_of(st.just(0), st.integers(0, mod // p - 1).map(lambda e: e * p),
+                          st.integers(0, mod - 1))
+        entries = tuple(data.draw(entry) for _ in range(4))
+    work = PAdicContext(p, 6 * (M + 3))
+    g = MatElt(work, *entries)
+    assert _membership_tested(oracle._split_classify_witness, work, kind, entries) == \
+        _membership_tested(_reference_split_classify_witness, g, kind)
+    torus = oracle._canonical_torus(torus_kind, p, work.M)
+    theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
+    try:
+        Y = theta.conj_by(g)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            oracle._conjugated(theta, entries)
+        return
+    assert oracle._conjugated(theta, entries) == Y
+    r = scaled_order_level(kind, Y, 2 * M + 4)
+    if r is None or (kind is OrderKind.J and torus_kind == UNRAMIFIED and r == 0):
+        return
+    assert _membership_tested(oracle._nonsplit_deep_witness, work, torus, kind, entries, r) \
+        == _membership_tested(_reference_nonsplit_deep_witness, work, torus, kind, g, r)
 
 
 @pytest.mark.parametrize("memo", [True, False])
@@ -392,8 +546,9 @@ def test_coverage_stream_packing_at_64_bits():
         assert type(stream) is packed
         rng = random.Random(5)
         mod = p ** M
+        ctx = PAdicContext(p, M)
         for idx, key in enumerate(stream):
-            a, b, c, d = oracle._sample_entries(rng, p, M, unit_det=(idx % 2 == 0))
+            a, b, c, d = _fresh_sample(rng, p, M, ctx, unit_det=(idx % 2 == 0)).entries
             assert key == ((a * mod + b) * mod + c) * mod + d
 
 
