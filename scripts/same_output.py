@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree prints and writes exactly what commit REF does.
 
-    python scripts/same_output.py REF [--set all|tiny] [--jobs N]
+    python scripts/same_output.py REF [--set all|tiny]
 
 REF is extracted with `git archive REF | tar -x` into a temporary directory.
 One fixed list of CLI invocations then runs in a fresh interpreter at REF and
@@ -14,8 +14,10 @@ at the working tree, each in its own empty directory:
 - the command lines of .github/workflows/tests.yml, with each `/dev/null`
   output replaced by a file.
 
-Identical argument lists run once.  stdout, stderr, the exit code and every
-written file are compared, with each side's root path read as `<ROOT>`.
+Identical argument lists run once, up to JOBS pairs at a time.  stdout,
+stderr, the exit code and every written file are compared, with each side's
+root path read as `<ROOT>`; a process still running after TIMEOUT_S seconds
+is killed and its invocation counts as a difference.
 Each difference is printed to stderr; the last stdout line is the summary.
 Exits 1 on any difference, 0 otherwise.  Standard library only.
 """
@@ -44,6 +46,8 @@ CRITERION_9 = (
     ("verify-local", "--p", "3", "--n-max", "1", "--M", "9", "--out", "loc.out"),
 )
 CLI = ("-S", "-m", "geomatch.cli")  # as CI runs it: standard library only
+JOBS = min(4, os.cpu_count() or 1)  # invocation pairs run at once
+TIMEOUT_S = 300  # per process; the slowest invocation takes a few seconds
 
 
 def _session_module():
@@ -73,12 +77,9 @@ def _readme_lines() -> list[tuple[str, ...]]:
 def _ci_lines() -> list[tuple[str, ...]]:
     """The `PYTHONPATH=src python -S ...` commands of the CI workflow, after `python`."""
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    out = []
-    for line in text.splitlines():
-        words = shlex.split(line.strip(), comments=True)
-        if words[:2] == ["PYTHONPATH=src", "python"]:
-            out.append(_with_output_files(words[2:]))
-    return out
+    return [_with_output_files(shlex.split(line, comments=True)[2:])
+            for line in map(str.strip, text.splitlines())
+            if line.startswith("PYTHONPATH=src python ")]
 
 
 def invocation_list(which: str) -> list[tuple[str, ...]]:
@@ -96,8 +97,12 @@ def run_one(root: Path, workdir: Path, args: tuple[str, ...]) -> dict:
     """Run one invocation at root in an empty workdir; what it printed and wrote."""
     workdir.mkdir(parents=True)
     args = tuple(str(root / a) if a.endswith(".py") else a for a in args)  # its scripts
-    proc = subprocess.run([sys.executable, *args], cwd=workdir, capture_output=True,
-                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    try:
+        proc = subprocess.run([sys.executable, *args], cwd=workdir, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "stdout": b"", "stderr": b"", "files": {}}
     files = {str(p.relative_to(workdir)): p.read_bytes()
              for p in sorted(workdir.rglob("*")) if p.is_file()}
     root_bytes = str(root).encode()
@@ -109,6 +114,8 @@ def run_one(root: Path, workdir: Path, args: tuple[str, ...]) -> dict:
 
 def compare(ref: dict, tree: dict) -> list[str]:
     """What differs between two run_one results; empty when they are identical."""
+    if ref["exit"] is None or tree["exit"] is None:
+        return ["timeout"]
     diffs = [key for key in ("exit", "stdout", "stderr") if ref[key] != tree[key]]
     for name in sorted(set(ref["files"]) | set(tree["files"])):
         if ref["files"].get(name) != tree["files"].get(name):
@@ -121,7 +128,6 @@ def main(argv=None) -> int:
     ap.add_argument("ref", help="the commit to compare against, e.g. HEAD or a sha")
     ap.add_argument("--set", dest="which", choices=("all", "tiny"), default="all",
                     help="tiny: the tiny benchmark invocations only")
-    ap.add_argument("--jobs", type=int, default=1, choices=range(1, 9), metavar="1..8")
     args = ap.parse_args(argv)
     sha = subprocess.run(["git", "rev-parse", "--short", args.ref], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -140,7 +146,7 @@ def main(argv=None) -> int:
                      for root, side in ((ref_root, "ref-runs"), (ROOT, "tree-runs"))]
             return compare(*sides)
 
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             results = list(pool.map(both, range(len(runs))))
     differing = 0
     for args_k, diffs in zip(runs, results):

@@ -1,6 +1,7 @@
 """scripts/same_output.py: its comparison, its invocation list, and one run against HEAD."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,28 @@ def test_compare_names_each_difference():
             "files": {"a.out": b"1", "b.out": b"3", "c.out": b""}}
     assert compare(ref, tree) == ["exit", "stderr", "file b.out", "file c.out"]
     assert compare(tree, ref) == ["exit", "stderr", "file b.out", "file c.out"]
+    hung = {"exit": None, "stdout": b"", "stderr": b"", "files": {}}
+    assert compare(ref, hung) == compare(hung, hung) == ["timeout"]
+
+
+def test_run_one_records_a_hung_process_as_a_timeout(tmp_path, monkeypatch):
+    same_output = _script()
+    monkeypatch.setattr(same_output, "TIMEOUT_S", 0.5)
+    result = same_output.run_one(tmp_path, tmp_path / "run",
+                                 ("-c", "import time; time.sleep(30)"))
+    assert result["exit"] is None
+
+
+def test_ci_lines_reads_command_lines_only(tmp_path, monkeypatch):
+    same_output = _script()
+    workflow = tmp_path / ".github" / "workflows" / "tests.yml"
+    workflow.parent.mkdir(parents=True)
+    workflow.write_text("    - name: Don't skip the stdlib run\n"
+                        "      run: |  # it's the CI step\n"
+                        "        PYTHONPATH=src python -S -m geomatch.cli spectrum --out /dev/null\n")
+    monkeypatch.setattr(same_output, "ROOT", tmp_path)
+    assert same_output._ci_lines() == [("-S", "-m", "geomatch.cli", "spectrum", "--out",
+                                        "written-5.out")]
 
 
 def test_invocation_list_covers_every_source():
@@ -47,11 +70,10 @@ def test_invocation_list_covers_every_source():
 
 
 def test_same_output_against_head_on_tiny_invocations():
-    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                      capture_output=True).returncode:
-        pytest.skip("needs a git checkout to extract HEAD")
-    proc = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--set", "tiny",
-                           "--jobs", "2"], cwd=ROOT, capture_output=True, text=True,
-                          timeout=300)
+    if not (shutil.which("git") and shutil.which("tar")) or subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("needs git, tar and a git checkout to extract HEAD")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "--set", "tiny"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith(" identical, 0 differ"), proc.stdout
