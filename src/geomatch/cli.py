@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import __version__
 from .assembly import RamifiedLevelData, psi_relation
@@ -93,8 +92,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {"command": self.command, "seed": self.seed, "format": self.fmt,
-                **{k: (str(v) if isinstance(v, Fraction) else v)
-                   for k, v in self.params.items()}}
+                **self.params}
 
 
 def pmap(fn, items):
@@ -113,8 +111,6 @@ def fmt_float(v: float) -> str:
 def _round12(v):
     if isinstance(v, float):
         return float(fmt_float(v))
-    if isinstance(v, Fraction):
-        return str(v)
     return v
 
 

@@ -17,7 +17,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .integrals import TestFunctionSpec
 from .orders import (
@@ -50,7 +49,6 @@ from .padic import (
     TorusData,
     UNRAMIFIED,
     RAMIFIED,
-    integer_valuation,
     ramified_torus,
     split_torus,
     unramified_generator_constant,
@@ -129,19 +127,17 @@ def _staircase_bounds(n: int) -> tuple[int, int, int, int]:
 
 @lru_cache(maxsize=None)
 def _enum_radical_quotient(kind: OrderKind, p: int, m: int) -> int:
-    """|radical^m / radical^(m+1)| by enumerating digit representatives.
+    """|radical^m / radical^(m+1)|, counted over digit windows.
 
-    Coordinates are independent (the radical powers are coordinate lattices),
-    so distinct digit tuples are distinct classes; the count is exhaustive
-    over one full transversal.
+    The radical powers are coordinate lattices, so the four coordinates are
+    independent and the count is the product of the window sizes.  The cap
+    still applies, as to an enumeration of that many digit tuples.
     """
     windows = _radical_digit_windows(kind, m)
     sizes = [p ** (hi - lo) for lo, hi in windows]
     total = sizes[0] * sizes[1] * sizes[2] * sizes[3]
     _check_cap(total)
-    reps = {digits for digits in itertools.product(*(range(s) for s in sizes))}
-    assert len(reps) == total
-    return len(reps)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -601,13 +597,6 @@ def _classified_stream(p: int, M: int, samples: int, seed: int,
         yield idx, entries, outcome
 
 
-def _guarded_val(ctx: PAdicContext, x: int, big: int) -> int:
-    x %= ctx.modulus
-    if x == 0:
-        return big
-    return ctx.power_exponents[gcd(x, ctx.modulus)]
-
-
 _NO_INVERSE = "no-inverse"  # outcome of a sample singular at the working precision
 
 
@@ -623,11 +612,10 @@ def _split_classify_witness(work: PAdicContext, kind: OrderKind,
     on the four entries mod the working modulus, and h is the one MatElt built.
     _NO_INVERSE when d or det vanishes at the working precision.
     """
-    p, mod = work.p, work.modulus
-    big = 10 * work.M
+    p, mod, M, depth = work.p, work.modulus, work.M, work.depth
     a, b, c, d = entries
-    vc = _guarded_val(work, c, big)
-    vd = _guarded_val(work, d, big)
+    vc = depth(c)
+    vd = depth(d)
     if kind is OrderKind.J:
         side = int(vc <= vd)
         g11, g12, g21, g22, den = (b * p, a, d * p, c, 1) if side else (a, b, c, d, 0)
@@ -636,14 +624,14 @@ def _split_classify_witness(work: PAdicContext, kind: OrderKind,
         g11, g12, g21, g22, den = (b, a, d, c, 0) if side else (a, b, c, d, 0)
     b_int, d_int = g12 % mod, g22 % mod
     det_int = (g11 * g22 - g12 * g21) % mod
-    vb_i = _guarded_val(work, b_int, big)
-    vd_i = _guarded_val(work, d_int, big)
-    vdet_i = _guarded_val(work, det_int, big)
-    if vd_i >= big or vdet_i >= big:
+    vb_i = depth(b_int)
+    vd_i = depth(d_int)
+    vdet_i = depth(det_int)
+    if vd_i == M or vdet_i == M:
         return _NO_INVERSE
     vb, vd, vdet = vb_i - den, vd_i - den, vdet_i - 2 * den
-    vu = vb + vd - vdet if vb_i < big else big
-    r = max(0, -vu)
+    # r = max(0, -v(u)) with u = b d / det; u = 0 puts g in the r = 0 coset
+    r = max(0, vdet - vb - vd) if vb_i < M else 0
     # g = tau n(u) k1^-1 with tau = diag(det/d, d), u = b d / det; fold the
     # unit part of u into tau so the unipotent is exactly n(p^-r)
     det_unit = det_int // p ** vdet_i % mod
@@ -747,44 +735,42 @@ def coset_coverage_split(kind: OrderKind, p: int, M: int, samples: int,
 
 
 def _strip_power(ctx: PAdicContext, entries: tuple[int, int, int, int]):
-    vals = [integer_valuation(e, ctx.p) for e in entries if e]
-    if not vals:
-        return entries
-    k = min(vals)
+    """entries / p^k for the least valuation k; all zeros stay zero (k = M)."""
+    k = min(map(ctx.depth, entries))
     return tuple(e // ctx.p ** k for e in entries)
 
 
-def _intertwiner(work: PAdicContext, X: MatElt, Y: MatElt) -> MatElt | None:
-    """Some nonzero P with X P = P Y, via cyclic vectors and the adjugate."""
-    candidates = ((1, 0), (0, 1), (1, 1), (1, work.p), (work.p, 1))
-    best = None
-    best_loss = None
-    for v in candidates:
-        sX = work.p ** X.den
-        Tv = MatElt.from_rows(work, ((v[0] * sX, X.e11 * v[0] + X.e12 * v[1]),
-                                     (v[1] * sX, X.e21 * v[0] + X.e22 * v[1])))
-        dv = Tv.det_int()
-        if dv == 0:
-            continue
-        lv = integer_valuation(dv, work.p)
-        for w in candidates:
-            sY = work.p ** Y.den
-            Tw = MatElt.from_rows(work, ((w[0] * sY, Y.e11 * w[0] + Y.e12 * w[1]),
-                                         (w[1] * sY, Y.e21 * w[0] + Y.e22 * w[1])))
-            dw = Tw.det_int()
-            if dw == 0:
-                continue
-            loss = lv + integer_valuation(dw, work.p)
-            if best_loss is not None and loss >= best_loss:
-                continue
-            adj = MatElt.from_rows(work, ((Tw.e22, -Tw.e12), (-Tw.e21, Tw.e11)))
-            P = Tv * adj  # X P = P Y up to the scalar det(Tw), which commutes
-            if all(e == 0 for e in P.entries):
-                continue
-            se = _strip_power(work, P.entries)
-            best = MatElt.from_rows(work, (se[:2], se[2:]))
-            best_loss = loss
+def _cyclic_basis(work: PAdicContext, X: MatElt) -> MatElt | None:
+    """T(v) = p^den (v | X v) for the first candidate v of least v(det T(v)).
+
+    None when every det T(v) vanishes at the working precision.
+    """
+    p = work.p
+    s = p ** X.den
+    best, best_val = None, work.M
+    for v0, v1 in ((1, 0), (0, 1), (1, 1), (1, p), (p, 1)):
+        T = MatElt.from_rows(work, ((v0 * s, X.e11 * v0 + X.e12 * v1),
+                                    (v1 * s, X.e21 * v0 + X.e22 * v1)))
+        lv = work.depth(T.det_int())
+        if lv < best_val:
+            best, best_val = T, lv
     return best
+
+
+def _intertwiner(work: PAdicContext, X: MatElt, Y: MatElt) -> MatElt | None:
+    """Some nonzero P with X P = P Y, via cyclic vectors and the adjugate.
+
+    P = T_X(v) adj(T_Y(w)), so v(det P) = v(det T_X(v)) + v(det T_Y(w)), and
+    the least v(det P) takes the best v and the best w independently.  Each
+    term is below M, so det P is nonzero mod p^(2M) and P nonzero mod p^M.
+    """
+    Tv, Tw = _cyclic_basis(work, X), _cyclic_basis(work, Y)
+    if Tv is None or Tw is None:
+        return None
+    adj = MatElt.from_rows(work, ((Tw.e22, -Tw.e12), (-Tw.e21, Tw.e11)))
+    # X P = P Y up to the scalar det(Tw), which commutes
+    se = _strip_power(work, (Tv * adj).entries)
+    return MatElt.from_rows(work, (se[:2], se[2:]))
 
 
 def _conjugated(theta: MatElt, entries: tuple[int, int, int, int]) -> MatElt:

@@ -197,10 +197,11 @@ def norm_image_level(kind: OrderKind, n: int) -> int:
 
 
 def _entry_valuations(x) -> list[int]:
-    """v(e) of each entry reduced mod p^M, with M standing for a zero entry.
+    """ctx.depth of each entry: v(e) mod p^M, with M standing for a zero entry.
 
     Every membership threshold is at most M - GUARD, so M decides each test
-    as an infinite valuation would.
+    as an infinite valuation would.  The lookup is inlined for the four
+    entries: a depth call per entry costs about 0.7 us more per matrix.
     """
     ctx = x.ctx
     m, exponent = ctx.modulus, ctx.power_exponents

@@ -88,18 +88,25 @@ class PAdicContext:
 
     @cached_property
     def power_exponents(self) -> dict[int, int]:
-        """{p^k: k} for 0 <= k <= M, so v(x) = power_exponents[gcd(x, p^M)] below M."""
+        """{p^k: k} for 0 <= k <= M, the table depth reads."""
         return {self.p ** k: k for k in range(self.M + 1)}
 
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
+    def depth(self, x: int) -> int:
+        """v(x mod p^M), with M for a zero residue.
+
+        One lookup, with no reduction: gcd(x, p^M) = p^min(v(x), M) for every
+        integer x, negatives included.
+        """
+        return self.power_exponents[math.gcd(x, self.modulus)]
+
     def val(self, x: int) -> int:
         """Valuation of x, exact only below M - GUARD."""
-        x = self.reduce(x)
-        if x == 0:
+        v = self.depth(x)
+        if v == self.M:
             raise PrecisionExhausted(f"v(x) >= {self.M} at precision {self.M}")
-        v = integer_valuation(x, self.p)
         if v > self.M - GUARD:
             raise PrecisionExhausted(f"v(x) = {v} > {self.M} - {GUARD}")
         return v
@@ -110,7 +117,7 @@ class PAdicContext:
             return True
         if n > self.M - GUARD:
             raise PrecisionExhausted(f"threshold {n} above {self.M} - {GUARD}")
-        return self.reduce(x) % self.p ** n == 0
+        return self.depth(x) >= n
 
     def is_unit(self, x: int) -> bool:
         return x % self.p != 0

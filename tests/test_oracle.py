@@ -301,11 +301,52 @@ def _reference_split_classify_witness(g0, kind):
     return r, side, ok
 
 
+def _reference_strip_power(ctx, entries):
+    vals = [integer_valuation(e, ctx.p) for e in entries if e]
+    if not vals:
+        return entries
+    k = min(vals)
+    return tuple(e // ctx.p ** k for e in entries)
+
+
+def _reference_intertwiner(work, X, Y):
+    """Some nonzero P with X P = P Y: the search over all 25 candidate pairs (v, w)."""
+    candidates = ((1, 0), (0, 1), (1, 1), (1, work.p), (work.p, 1))
+    best = None
+    best_loss = None
+    for v in candidates:
+        sX = work.p ** X.den
+        Tv = MatElt.from_rows(work, ((v[0] * sX, X.e11 * v[0] + X.e12 * v[1]),
+                                     (v[1] * sX, X.e21 * v[0] + X.e22 * v[1])))
+        dv = Tv.det_int()
+        if dv == 0:
+            continue
+        lv = integer_valuation(dv, work.p)
+        for w in candidates:
+            sY = work.p ** Y.den
+            Tw = MatElt.from_rows(work, ((w[0] * sY, Y.e11 * w[0] + Y.e12 * w[1]),
+                                         (w[1] * sY, Y.e21 * w[0] + Y.e22 * w[1])))
+            dw = Tw.det_int()
+            if dw == 0:
+                continue
+            loss = lv + integer_valuation(dw, work.p)
+            if best_loss is not None and loss >= best_loss:
+                continue
+            adj = MatElt.from_rows(work, ((Tw.e22, -Tw.e12), (-Tw.e21, Tw.e11)))
+            P = Tv * adj  # X P = P Y up to the scalar det(Tw), which commutes
+            if all(e == 0 for e in P.entries):
+                continue
+            se = _reference_strip_power(work, P.entries)
+            best = MatElt.from_rows(work, (se[:2], se[2:]))
+            best_loss = loss
+    return best
+
+
 def _reference_nonsplit_deep_witness(work, torus, kind, g, r):
     """The conjugating-witness grid scan built from MatElt products, as first written."""
     Y = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1).conj_by(g)
     emb = oracle.checked_embedding(torus, kind, r)
-    P = oracle._intertwiner(work, emb.of_coords(0, 1), Y)
+    P = _reference_intertwiner(work, emb.of_coords(0, 1), Y)
     if P is None:
         return False
     p = work.p
@@ -505,6 +546,38 @@ def test_coverage_kernels_match_matelt_references(data):
         return
     assert _membership_tested(oracle._nonsplit_deep_witness, work, torus, kind, entries, r) \
         == _membership_tested(_reference_nonsplit_deep_witness, work, torus, kind, g, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_intertwiner_matches_pairwise_search(data):
+    """_intertwiner picks v and w apart; the 25-pair search gives the same P.
+
+    X is the embedded generator at the level of Y = g^-1 theta g, as in the
+    deep witness.  A scalar Y has no cyclic vector, so both give None.
+    """
+    p = data.draw(st.sampled_from([2, 3]))
+    M = data.draw(st.integers(2, 8))
+    kind = data.draw(st.sampled_from([OrderKind.M, OrderKind.J]))
+    torus_kind = data.draw(st.sampled_from([UNRAMIFIED, RAMIFIED]))
+    mod = p ** M
+    entries = tuple(data.draw(st.integers(0, mod - 1)) for _ in range(4))
+    work = PAdicContext(p, 6 * (M + 3))
+    torus = oracle._canonical_torus(torus_kind, p, work.M)
+    theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
+    try:
+        Y = theta.conj_by(MatElt(work, *entries))
+    except PrecisionExhausted:
+        return
+    r = scaled_order_level(kind, Y, 2 * M + 4)
+    if r is None or (kind is OrderKind.J and torus_kind == UNRAMIFIED and r == 0):
+        return
+    X = oracle.checked_embedding(torus, kind, r).of_coords(0, 1)
+    if data.draw(st.booleans()):
+        s = data.draw(st.integers(0, mod - 1))
+        Y = MatElt(work, s, 0, 0, s, data.draw(st.integers(0, 2)))
+        assert oracle._intertwiner(work, X, Y) is None
+    assert oracle._intertwiner(work, X, Y) == _reference_intertwiner(work, X, Y)
 
 
 @pytest.mark.parametrize("memo", [True, False])

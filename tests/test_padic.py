@@ -50,6 +50,35 @@ def test_power_exponents_read_valuations():
             assert ctx.power_exponents[gcd(x, ctx.modulus)] == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_depth_val_and_val_at_least_share_one_read_off(data):
+    """depth is v(x mod p^M) capped at M; val and val_at_least read it behind the guard."""
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    M = data.draw(st.integers(1, 40))
+    ctx = PAdicContext(p, M)
+    mod = ctx.modulus
+    unit = st.integers(1, 10 ** 6).filter(lambda u: u % p)
+    x = data.draw(st.one_of(
+        st.just(0),
+        st.builds(lambda sign, u, k: sign * u * p ** k,
+                  st.sampled_from([1, -1]), unit, st.integers(0, M + 3)),
+        st.integers(mod + 1, mod * p ** 3)))
+    residue = x % mod
+    want = M if residue == 0 else min(integer_valuation(residue, p), M)
+    assert ctx.depth(x) == want
+    if want > M - GUARD:
+        with pytest.raises(PrecisionExhausted):
+            ctx.val(x)
+    else:
+        assert ctx.val(x) == want
+    for n in range(1, M - GUARD + 1):
+        assert ctx.val_at_least(x, n) == (residue % p ** n == 0)
+    for n in (max(M - GUARD + 1, 1), M + 1):
+        with pytest.raises(PrecisionExhausted):
+            ctx.val_at_least(x, n)
+
+
 def test_valuation_guard():
     ctx = PAdicContext(3, 4)
     with pytest.raises(PrecisionExhausted):
