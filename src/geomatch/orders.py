@@ -2,9 +2,9 @@
 
 M2(o), the Iwahori order J (lower-left entry divisible by p), and the maximal
 order of the division quaternion algebra in its cyclic model over the
-unramified quadratic extension.  Matrix and quaternion elements carry a
-denominator exponent so conjugators like n(p^-r) stay in exact residue
-arithmetic.
+unramified quadratic extension, which p alone fixes.  Matrix and quaternion
+elements alike are four integer entries mod p^M over a denominator p^den, so
+conjugators like n(p^-r) stay in exact residue arithmetic.
 """
 
 from __future__ import annotations
@@ -280,83 +280,65 @@ def in_normalizer(kind: OrderKind, x) -> bool:
 # division algebra in the cyclic model
 
 
-@dataclass(frozen=True)
-class DivisionModel:
-    """Cyclic model of the division quaternion algebra over Q_p.
-
-    Elements are u + w * pi_D with u, w in the unramified quadratic ring
-    o[s], s^2 = s + c, and pi_D * u = sigma(u) * pi_D, pi_D^2 = p.
-    """
-
+class _DivFields(NamedTuple):
     ctx: PAdicContext
-
-    @property
-    def c(self) -> int:
-        return unramified_generator_constant(self.ctx.p)
-
-    def elt(self, u: tuple[int, int], w: tuple[int, int], den: int = 0) -> "DivElt":
-        m = self.ctx.modulus
-        return DivElt(self, (u[0] % m, u[1] % m), (w[0] % m, w[1] % m), den)
-
-    # arithmetic of the unramified quadratic ring
-    def _mul2(self, x, y):
-        a, b = x
-        e, f = y
-        m = self.ctx.modulus
-        return ((a * e + self.c * b * f) % m, (a * f + b * e + b * f) % m)
-
-    def _sigma(self, x):
-        a, b = x
-        m = self.ctx.modulus
-        return ((a + b) % m, -b % m)
-
-    def _norm2(self, x) -> int:
-        a, b = x
-        return (a * a + a * b - self.c * b * b) % self.ctx.modulus
-
-    def _add2(self, x, y):
-        m = self.ctx.modulus
-        return ((x[0] + y[0]) % m, (x[1] + y[1]) % m)
-
-
-@dataclass(frozen=True)
-class DivElt:
-    """u + w pi_D at denominator p^den (den counts powers of p, so 2 in v_D)."""
-
-    model: DivisionModel
-    u: tuple[int, int]
-    w: tuple[int, int]
+    u0: int
+    u1: int
+    w0: int
+    w1: int
     den: int = 0
 
-    @property
-    def ctx(self) -> PAdicContext:
-        return self.model.ctx
+
+class DivElt(_DivFields):
+    """u + w pi_D stored as four integer entries mod p^M over p^den, like MatElt.
+
+    u = u0 + u1 s and w = w0 + w1 s lie in the unramified quadratic ring
+    o[s], s^2 = s + c with c = unramified_generator_constant(p), and
+    pi_D u = sigma(u) pi_D, pi_D^2 = p, where sigma(a + b s) = (a + b) - b s:
+    the cyclic model of the division quaternion algebra over Q_p, fixed by p.
+    den counts powers of p, so 2 in v_D.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ctx: PAdicContext, u0: int, u1: int, w0: int, w1: int,
+                den: int = 0) -> "DivElt":
+        if den < 0:
+            raise ValueError("denominator exponent must be >= 0")
+        return tuple.__new__(cls, (ctx, u0, u1, w0, w1, den))
 
     @property
     def entries(self) -> tuple[int, int, int, int]:
-        return (*self.u, *self.w)
+        return self[1:5]
 
     def __mul__(self, other: "DivElt") -> "DivElt":
-        md = self.model
-        p = self.ctx.p
-        u1, w1, u2, w2 = self.u, self.w, other.u, other.w
-        u = md._add2(md._mul2(u1, u2),
-                     tuple(x * p % self.ctx.modulus for x in md._mul2(w1, md._sigma(w2))))
-        w = md._add2(md._mul2(u1, w2), md._mul2(w1, md._sigma(u2)))
-        return DivElt(md, u, w, self.den + other.den)
+        """(u + w pi_D)(u' + w' pi_D) = (u u' + p w sigma(w')) + (u w' + w sigma(u')) pi_D."""
+        ctx, a0, a1, b0, b1, k = self
+        _, e0, e1, f0, f1, l = other
+        m, p = ctx.modulus, ctx.p
+        c = unramified_generator_constant(p)
+        return tuple.__new__(DivElt, (
+            ctx,
+            (a0 * e0 + c * a1 * e1 + p * (b0 * (f0 + f1) - c * b1 * f1)) % m,
+            (a0 * e1 + a1 * (e0 + e1) + p * (b1 * f0 - b0 * f1)) % m,
+            (a0 * f0 + c * a1 * f1 + b0 * (e0 + e1) - c * b1 * e1) % m,
+            (a0 * f1 + a1 * (f0 + f1) + b1 * e0 - b0 * e1) % m,
+            k + l))
 
     def minus_identity(self) -> "DivElt":
-        s = self.ctx.p ** self.den
-        m = self.ctx.modulus
-        return DivElt(self.model, ((self.u[0] - s) % m, self.u[1]), self.w, self.den)
+        """x - 1 at the same denominator."""
+        ctx, u0, u1, w0, w1, den = self
+        return DivElt(ctx, (u0 - ctx.p ** den) % ctx.modulus, u1, w0, w1, den)
 
     def norm_int(self) -> int:
-        """Reduced norm of the integer part: N(u) - p N(w)."""
-        md = self.model
-        return (md._norm2(self.u) - self.ctx.p * md._norm2(self.w)) % self.ctx.modulus
+        """Reduced norm of the integer part: N(u) - p N(w), N(a + b s) = a^2 + a b - c b^2."""
+        ctx, u0, u1, w0, w1, _ = self
+        c = unramified_generator_constant(ctx.p)
+        return (u0 * u0 + u0 * u1 - c * u1 * u1
+                - ctx.p * (w0 * w0 + w0 * w1 - c * w1 * w1)) % ctx.modulus
 
     def trace_int(self) -> int:
-        return (2 * self.u[0] + self.u[1]) % self.ctx.modulus
+        return (2 * self.u0 + self.u1) % self.ctx.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -452,24 +434,20 @@ class DivisionEmbedding:
     """
 
     torus: TorusData
-    model: DivisionModel
     xi: DivElt
 
     def of_coords(self, alpha: int, beta: int) -> DivElt:
-        md = self.model
-        m = md.ctx.modulus
-        u = ((alpha + beta * self.xi.u[0]) % m, beta * self.xi.u[1] % m)
-        w = (beta * self.xi.w[0] % m, beta * self.xi.w[1] % m)
-        return DivElt(md, u, w, 0)
+        ctx, x0, x1, y0, y1, _ = self.xi
+        m = ctx.modulus
+        return DivElt(ctx, (alpha + beta * x0) % m, beta * x1 % m, beta * y0 % m, beta * y1 % m)
 
     def of(self, x: RegularElement) -> DivElt:
         return self.of_coords(x.alpha, x.beta)
 
 
-def _solve_unit_norm(model: DivisionModel, target: int) -> tuple[int, int]:
+def _solve_unit_norm(ctx: PAdicContext, target: int) -> tuple[int, int]:
     """(a, b) with N(a + b s) = target (a unit), derivative 2a+b a unit."""
-    ctx = model.ctx
-    p, c = ctx.p, model.c
+    p, c = ctx.p, unramified_generator_constant(ctx.p)
     start = next(((a, b) for a in range(p) for b in range(p)
                   if (a * a + a * b - c * b * b - target) % p == 0 and (2 * a + b) % p), None)
     if start is None:
@@ -479,8 +457,8 @@ def _solve_unit_norm(model: DivisionModel, target: int) -> tuple[int, int]:
     return a, b % ctx.modulus
 
 
-def division_embedding(torus: TorusData, model: DivisionModel) -> DivisionEmbedding:
-    """Embed a field torus into the division model.
+def division_embedding(torus: TorusData) -> DivisionEmbedding:
+    """Embed a field torus into the division model at the torus's precision.
 
     theta0, a root of X^2 - T X + N, maps to xi = T s + w pi_D: the trace is
     T since Tr(s) = 1 and Tr(w pi_D) = 0, and the norm N(T s) - p N(w) is N
@@ -489,20 +467,17 @@ def division_embedding(torus: TorusData, model: DivisionModel) -> DivisionEmbedd
     a unit by the Eisenstein shape, and w solves the unit norm equation.
     """
     ctx = torus.ctx
-    if ctx.p != model.ctx.p or ctx.M != model.ctx.M:
-        raise ValueError("torus and model contexts must agree")
     if torus.kind == SPLIT:
         raise ValueError("split tori do not embed in the division algebra")
     T, N = torus.T % ctx.modulus, torus.N % ctx.modulus
-    u = (0, T)
-    diff = (model._norm2(u) - N) % ctx.modulus
+    diff = (DivElt(ctx, 0, T, 0, 0).norm_int() - N) % ctx.modulus
     if diff % ctx.p != 0:
         raise AssertionError("norm defect not divisible by p")
     target = diff // ctx.p
     if target and not ctx.is_unit(target):
         raise AssertionError("norm defect is not a unit times p")
-    xi = model.elt(u, _solve_unit_norm(model, target) if target else (0, 0))
+    xi = DivElt(ctx, 0, T, *(_solve_unit_norm(ctx, target) if target else (0, 0)))
     slack = ctx.p ** (ctx.M - GUARD)
     if xi.trace_int() % slack != T % slack or xi.norm_int() % slack != N % slack:
         raise AssertionError("division embedding failed the char-poly check")
-    return DivisionEmbedding(torus, model, xi)
+    return DivisionEmbedding(torus, xi)

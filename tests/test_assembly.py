@@ -369,11 +369,11 @@ def test_predict_matches_enumeration_at_principal_levels():
 
 def _contains_minus_one_explicitly(kind, n, p):
     """Whether -1 lies in U^n, by congruence membership of an explicit -1."""
-    from geomatch.orders import DivisionModel, MatElt, congruence_subgroup_membership
+    from geomatch.orders import DivElt, MatElt, congruence_subgroup_membership
     from geomatch.padic import PAdicContext
     ctx = PAdicContext(p, n + 4)
     if kind is OrderKind.D:
-        neg = DivisionModel(ctx).elt((-1, 0), (0, 0))
+        neg = DivElt(ctx, -1 % ctx.modulus, 0, 0, 0)
     else:
         neg = MatElt.from_rows(ctx, ((-1, 0), (0, -1)))
     return congruence_subgroup_membership(kind, neg, n)

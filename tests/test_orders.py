@@ -1,11 +1,11 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from geomatch.orders import (
     DivElt,
-    DivisionModel,
     MatElt,
     MatrixEmbedding,
     OrderKind,
@@ -27,9 +27,12 @@ from geomatch.padic import (
     RAMIFIED,
     SPLIT,
     UNRAMIFIED,
+    classify_torus,
+    hensel_lift,
     ramified_torus,
     ramified_torus_2nonsplit,
     split_torus,
+    unramified_generator_constant,
     unramified_torus,
 )
 
@@ -41,16 +44,14 @@ def test_radical_membership_examples():
     Pi2 = Pi * Pi
     assert radical_power_membership(OrderKind.J, Pi2, 2)
     assert Pi2.entries == (3, 0, 0, 3)
-    md = DivisionModel(PAdicContext(2, 6))
-    assert not radical_power_membership(OrderKind.D, md.elt((1, 0), (0, 0)), 1)
+    assert not radical_power_membership(OrderKind.D, DivElt(PAdicContext(2, 6), 1, 0, 0, 0), 1)
 
 
 def test_congruence_membership_examples():
     ctx = PAdicContext(3, 8)
     assert congruence_subgroup_membership(OrderKind.M, MatElt(ctx, 1, 0, 0, 1), 5)
     assert congruence_subgroup_membership(OrderKind.M, MatElt(ctx, 1, 3, 0, 1), 1)
-    md = DivisionModel(PAdicContext(2, 8))
-    y = md.elt((1, 0), (1, 0))  # 1 + pi_D
+    y = DivElt(PAdicContext(2, 8), 1, 0, 1, 0)  # 1 + pi_D
     assert congruence_subgroup_membership(OrderKind.D, y, 1)
     assert not congruence_subgroup_membership(OrderKind.D, y, 2)
 
@@ -71,15 +72,15 @@ def test_norm_image_levels():
 
 
 def test_division_relations():
-    md = DivisionModel(PAdicContext(3, 8))
-    s = md.elt((0, 1), (0, 0))
-    piD = md.elt((0, 0), (1, 0))
+    ctx = PAdicContext(3, 8)
+    s = DivElt(ctx, 0, 1, 0, 0)
+    piD = DivElt(ctx, 0, 0, 1, 0)
     left = piD * s
     # pi_D * s = sigma(s) * pi_D with sigma(s) = 1 - s
     mod = 3 ** 8
-    assert left.u == (0, 0) and left.w == (1 % mod, -1 % mod)
+    assert left.entries == (0, 0, 1 % mod, -1 % mod)
     sq = piD * piD
-    assert sq.u == (3, 0) and sq.w == (0, 0)
+    assert sq.entries == (3, 0, 0, 0)
     assert sq.norm_int() % mod == 9 % mod
 
 
@@ -88,9 +89,9 @@ def test_division_relations():
        st.integers(0, 3 ** 4 - 1), st.integers(0, 3 ** 4 - 1),
        st.integers(0, 3 ** 4 - 1), st.integers(0, 3 ** 4 - 1))
 def test_division_norm_multiplicative(a, b, c, d, e, f):
-    md = DivisionModel(PAdicContext(3, 8))
-    x = md.elt((a, b), (c, d))
-    y = md.elt((e, f), (a + d, b + c))
+    ctx = PAdicContext(3, 8)
+    x = DivElt(ctx, a, b, c, d)
+    y = DivElt(ctx, e, f, a + d, b + c)  # entries below 2 * 3^4 < 3^8: reduced
     mod = 3 ** 8
     assert (x * y).norm_int() % mod == x.norm_int() * y.norm_int() % mod
 
@@ -98,20 +99,144 @@ def test_division_norm_multiplicative(a, b, c, d, e, f):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_division_associative(data):
-    md = DivisionModel(PAdicContext(2, 7))
+    ctx = PAdicContext(2, 7)
     mod = 2 ** 7
-    pick = lambda: md.elt((data.draw(st.integers(0, mod - 1)),
-                           data.draw(st.integers(0, mod - 1))),
-                          (data.draw(st.integers(0, mod - 1)),
-                           data.draw(st.integers(0, mod - 1))))
+    pick = lambda: DivElt(ctx, *(data.draw(st.integers(0, mod - 1)) for _ in range(4)))
     x, y, z = pick(), pick(), pick()
     assert (x * y) * z == x * (y * z)
+
+
+
+# The cyclic model as first written: a model object over the unramified ring
+# o[s], s^2 = s + c, whose elements u + w pi_D held u and w as pairs.  Its
+# ring helpers and element methods, kept as the reference for DivElt's
+# arithmetic on four integer entries.
+
+def _reference_mul2(ctx, x, y):
+    a, b = x
+    e, f = y
+    m, c = ctx.modulus, unramified_generator_constant(ctx.p)
+    return ((a * e + c * b * f) % m, (a * f + b * e + b * f) % m)
+
+
+def _reference_sigma(ctx, x):
+    a, b = x
+    m = ctx.modulus
+    return ((a + b) % m, -b % m)
+
+
+def _reference_norm2(ctx, x):
+    a, b = x
+    return (a * a + a * b - unramified_generator_constant(ctx.p) * b * b) % ctx.modulus
+
+
+def _reference_add2(ctx, x, y):
+    m = ctx.modulus
+    return ((x[0] + y[0]) % m, (x[1] + y[1]) % m)
+
+
+@dataclass(frozen=True)
+class _ReferenceDivElt:
+    ctx: PAdicContext
+    u: tuple[int, int]
+    w: tuple[int, int]
+    den: int = 0
+
+    def fields(self):
+        return (self.ctx, *self.u, *self.w, self.den)
+
+    def __mul__(self, other):
+        ctx, p = self.ctx, self.ctx.p
+        u1, w1, u2, w2 = self.u, self.w, other.u, other.w
+        u = _reference_add2(ctx, _reference_mul2(ctx, u1, u2),
+                            tuple(x * p % ctx.modulus
+                                  for x in _reference_mul2(ctx, w1, _reference_sigma(ctx, w2))))
+        w = _reference_add2(ctx, _reference_mul2(ctx, u1, w2),
+                            _reference_mul2(ctx, w1, _reference_sigma(ctx, u2)))
+        return _ReferenceDivElt(ctx, u, w, self.den + other.den)
+
+    def minus_identity(self):
+        s = self.ctx.p ** self.den
+        m = self.ctx.modulus
+        return _ReferenceDivElt(self.ctx, ((self.u[0] - s) % m, self.u[1]), self.w, self.den)
+
+    def norm_int(self):
+        return (_reference_norm2(self.ctx, self.u)
+                - self.ctx.p * _reference_norm2(self.ctx, self.w)) % self.ctx.modulus
+
+    def trace_int(self):
+        return (2 * self.u[0] + self.u[1]) % self.ctx.modulus
+
+
+def _reference_solve_unit_norm(ctx, target):
+    p, c = ctx.p, unramified_generator_constant(ctx.p)
+    a0, b = next((a, b) for a in range(p) for b in range(p)
+                 if (a * a + a * b - c * b * b - target) % p == 0 and (2 * a + b) % p)
+    a = hensel_lift(lambda y: y * y + y * b - c * b * b - target, lambda y: 2 * y + b, a0, ctx)
+    return a, b % ctx.modulus
+
+
+def _reference_division_xi(torus):
+    """xi = T s + w pi_D as the model-based division_embedding built it."""
+    ctx = torus.ctx
+    m = ctx.modulus
+    T, N = torus.T % m, torus.N % m
+    u = (0, T)
+    target = (_reference_norm2(ctx, u) - N) % m // ctx.p
+    w = _reference_solve_unit_norm(ctx, target) if target else (0, 0)
+    return _ReferenceDivElt(ctx, u, (w[0] % m, w[1] % m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), M=st.integers(1, 10), data=st.data())
+def test_division_arithmetic_matches_reference(p, M, data):
+    ctx = PAdicContext(p, M)
+    entry = st.one_of(st.just(0), st.integers(0, ctx.modulus - 1),
+                      st.builds(lambda u, k: u * p ** k, st.integers(1, p * p),
+                                st.integers(0, M + 1)),
+                      st.integers(-ctx.modulus * p, -1))
+
+    def pick():
+        e = [data.draw(entry, label="entry") for _ in range(4)]
+        den = data.draw(st.integers(0, 3), label="den")
+        return DivElt(ctx, *e, den), _ReferenceDivElt(ctx, (e[0], e[1]), (e[2], e[3]), den)
+
+    (x, rx), (y, ry) = pick(), pick()
+    assert tuple(x) == rx.fields()
+    assert tuple(x * y) == (rx * ry).fields()
+    assert tuple(x.minus_identity()) == rx.minus_identity().fields()
+    assert x.norm_int() == rx.norm_int()
+    assert x.trace_int() == rx.trace_int()
+
+
+def _field_tori():
+    """Every field torus the constructors give, and those of traces 3..60, at p = 2, 3, 5."""
+    for p in (2, 3, 5):
+        for M in (4, 8, 13):
+            yield unramified_torus(p, M)
+            yield ramified_torus(p, M)
+            if p == 2:
+                yield ramified_torus_2nonsplit(M)
+        for t in range(3, 61):
+            torus = classify_torus(t, p)
+            if torus.kind != SPLIT:
+                yield torus
+
+
+def test_division_embedding_matches_reference():
+    shapes = set()
+    for torus in _field_tori():
+        xi = division_embedding(torus).xi
+        assert tuple(xi) == _reference_division_xi(torus).fields(), torus
+        shapes.add((torus.ctx.p, torus.kind, torus.T % torus.ctx.modulus))
+    # T = 1 unramified, T = 0 ramified, and at p = 2 also T = 2 (theta0 = 1 + sqrt(u))
+    assert shapes == {(p, kind, T) for p in (2, 3, 5)
+                      for kind, T in ((UNRAMIFIED, 1), (RAMIFIED, 0))} | {(2, RAMIFIED, 2)}
 
 
 def test_radical_filtration_products():
     rng = random.Random(5)
     ctx = PAdicContext(2, 14)
-    md = DivisionModel(ctx)
     for _ in range(40):
         a = rng.randrange(1, 4)
         b = rng.randrange(1, 4)
@@ -156,17 +281,20 @@ def test_congruence_subgroups_normal_in_normalizer():
             if congruence_subgroup_membership(OrderKind.J, xj, n):
                 conj = Pi_inv * xj * Pi
                 assert congruence_subgroup_membership(OrderKind.J, conj, n)
-    md = DivisionModel(ctx)
+    piD, piD_inv = DivElt(ctx, 0, 0, 1, 0), DivElt(ctx, 0, 0, 1, 0, den=1)
     for n in (1, 2):
         for _ in range(25):
-            x = md.elt((1 + 3 ** ((n + 1) // 2) * rng.randrange(27),
-                        3 ** ((n + 1) // 2) * rng.randrange(27)),
-                       (3 ** (n // 2) * rng.randrange(27),
-                        3 ** (n // 2) * rng.randrange(27)))
+            x = DivElt(ctx, 1 + 3 ** ((n + 1) // 2) * rng.randrange(27),
+                       3 ** ((n + 1) // 2) * rng.randrange(27),
+                       3 ** (n // 2) * rng.randrange(27),
+                       3 ** (n // 2) * rng.randrange(27))
             if congruence_subgroup_membership(OrderKind.D, x, n):
                 # pi_D^-1 (u + w pi_D) pi_D = sigma(u) + sigma(w) pi_D
-                tw = md.elt(md._sigma(x.u), md._sigma(x.w))
+                tw = DivElt(ctx, *_reference_sigma(ctx, x[1:3]), *_reference_sigma(ctx, x[3:5]))
                 assert congruence_subgroup_membership(OrderKind.D, tw, n)
+                conj = piD_inv * x * piD
+                assert conj.den == 1 and conj.entries == tuple(3 * e % ctx.modulus
+                                                               for e in tw.entries)
 
 
 def test_embedding_levels():
@@ -187,11 +315,11 @@ def test_embedding_levels():
 def test_division_embedding_parity():
     for p in (2, 3):
         for tor in (unramified_torus(p, 8), ramified_torus(p, 8)):
-            de = division_embedding(tor, DivisionModel(PAdicContext(p, 8)))
+            de = division_embedding(tor)
             assert exact_radical_level(OrderKind.D, de.xi) % 2 == \
                 (1 if tor.kind == RAMIFIED else 0)
     t24 = ramified_torus_2nonsplit(8)
-    de = division_embedding(t24, DivisionModel(PAdicContext(2, 8)))
+    de = division_embedding(t24)
     assert exact_radical_level(OrderKind.D, de.xi) == 1  # theta0 = 1 + sqrt(u) is a uniformizer
 
 
@@ -230,6 +358,22 @@ def test_matelt_is_an_immutable_value():
     assert x.entries == (1, 3, 9, 2)
 
 
+def test_divelt_is_an_immutable_value():
+    ctx = PAdicContext(3, 8)
+    x = DivElt(ctx, 1, 3, 9, 2, den=1)
+    for name in ("u0", "den", "ctx", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(ValueError):
+        DivElt(ctx, 1, 0, 0, 0, den=-1)
+    y = DivElt(ctx, 1, 3, 9, 2, den=1)
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert DivElt(ctx, 1, 3, 9, 2) != x
+    one = DivElt(ctx, 1, 0, 0, 0)
+    assert one * x == x == x * one
+    assert x.entries == (1, 3, 9, 2)
+
+
 def _reference_membership(kind, x, n):
     """radical_power_membership entry by entry, apart from the staircase table.
 
@@ -244,8 +388,8 @@ def _reference_membership(kind, x, n):
         if m <= 0:
             return True
         cu, cw = (m + 1) // 2, m // 2
-        return (ctx.val_at_least(x.u[0], cu) and ctx.val_at_least(x.u[1], cu)
-                and ctx.val_at_least(x.w[0], cw) and ctx.val_at_least(x.w[1], cw))
+        return (ctx.val_at_least(x.u0, cu) and ctx.val_at_least(x.u1, cu)
+                and ctx.val_at_least(x.w0, cw) and ctx.val_at_least(x.w1, cw))
     k, odd = divmod(n, 2)
     if kind is OrderKind.M:
         b = (n, n, n, n)
@@ -297,7 +441,7 @@ def _draw_element(data, kind, p, M):
     den = data.draw(st.integers(0, max(M - GUARD, 0) + 1), label="den")
     e = [data.draw(entry, label="entry") for _ in range(4)]
     if kind is OrderKind.D:
-        return DivElt(DivisionModel(ctx), (e[0], e[1]), (e[2], e[3]), den)
+        return DivElt(ctx, *e, den)
     return MatElt(ctx, *e, den)
 
 
@@ -352,7 +496,7 @@ def test_torus_filtration_is_embedded_congruence_level(p, which, i, s, j, w):
         else:
             x = torus.element(a, w * p ** j)
             kind, scale = OrderKind.D, 2 // torus.e
-            image = division_embedding(torus, DivisionModel(torus.ctx)).of(x)
+            image = division_embedding(torus).of(x)
         for n in range(7):
             assert x.in_unit_filtration(n) == \
                 congruence_subgroup_membership(kind, image, scale * n), n
