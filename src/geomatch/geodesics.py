@@ -41,28 +41,6 @@ class PellUnit:
     def log(self) -> float:
         return _log_alpha(self.u)
 
-    def power(self, k: int) -> tuple[int, int]:
-        """(U, V) with ((u + v sqrt d)/2)^k = (U + V sqrt d)/2, k >= 0."""
-        U, V = 2, 0
-        A, B = self.u, self.v
-        n = k
-        while n:
-            if n & 1:
-                U, V = _half_mul(self.disc, (U, V), (A, B))
-            A, B = _half_mul(self.disc, (A, B), (A, B))
-            n >>= 1
-        return U, V
-
-
-def _half_mul(disc: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Product of (a + b sqrt d)/2 pairs, result in the same normalization."""
-    a, b = x
-    c, d = y
-    num_u = a * c + disc * b * d
-    num_v = a * d + b * c
-    assert num_u % 2 == 0 and num_v % 2 == 0
-    return num_u // 2, num_v // 2
-
 
 def _log_alpha(u: int) -> float:
     """log((u + sqrt(u^2 - 4))/2) without overflowing floats."""
@@ -172,22 +150,11 @@ def _mat_mul(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def _mat_pow(x, k):
-    out = (1, 0, 0, 1)
-    while k:
-        if k & 1:
-            out = _mat_mul(out, x)
-        x = _mat_mul(x, x)
-        k >>= 1
-    return out
-
-
-def _mat_neg(x):
-    return tuple(-e for e in x)
-
-
-def _mat_inv_sl2(x):
-    return (x[3], -x[1], -x[2], x[0])
+def _automorph(form, pell):
+    """The automorph of form that the Pell unit (u + v sqrt d)/2 gives."""
+    A, B, C = form
+    u, v = pell.u, pell.v
+    return ((u - B * v) // 2, -C * v, A * v, (u + B * v) // 2)
 
 
 @dataclass(frozen=True)
@@ -208,9 +175,7 @@ class QuadFormClass:
 
     @property
     def gamma0(self) -> tuple[int, int, int, int]:
-        A, B, C = self.form
-        u, v = self.pell.u, self.pell.v
-        return ((u - B * v) // 2, -C * v, A * v, (u + B * v) // 2)
+        return _automorph(self.form, self.pell)
 
     def log_x0(self) -> float:
         """log of the primitive norm in the eigenvalue normalization."""
@@ -239,24 +204,23 @@ def sl2_classes(t: int) -> tuple[QuadFormClass, ...]:
 
 
 def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
-    """Determine k with gamma = sign gamma0^(±k), verified exactly."""
-    target = (abs(t), m)
+    """Determine k with gamma = sign gamma0^(±k), verified exactly.
+
+    gamma0's integer powers are walked until the trace reaches |t|; then
+    gamma0^k must be the m-scaled automorph of trace |t|, which is gamma for
+    t > 0 and -gamma^-1 for t < 0.  (u + v sqrt d)/2 -> gamma0 is a ring
+    map, so this one equality also says that the k-th power of the Pell
+    unit is (|t| + m sqrt d)/2.
+    """
+    A, B, C = form
+    g0 = cur = _automorph(form, pell)
     k = 1
-    cur = (pell.u, pell.v)
-    while cur[0] < target[0]:
+    while cur[0] + cur[3] < abs(t):
+        cur = _mat_mul(cur, g0)
         k += 1
-        cur = pell.power(k)
-    if cur != target:
-        raise AssertionError("class element is not a power of the fundamental unit")
-    cls = QuadFormClass(t, m, form, gamma, pell, k)
-    g0 = cls.gamma0
-    if t > 0:
-        ok = _mat_pow(g0, k) == gamma
-    else:
-        ok = _mat_pow(_mat_inv_sl2(g0), k) == _mat_neg(gamma)
-    if not ok:
+    if cur != ((abs(t) - m * B) // 2, -m * C, m * A, (abs(t) + m * B) // 2):
         raise AssertionError("gamma0^k does not reproduce gamma")
-    return cls
+    return QuadFormClass(t, m, form, gamma, pell, k)
 
 
 # ---------------------------------------------------------------------------

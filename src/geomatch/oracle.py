@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +27,6 @@ from .orders import (
     OrderKind,
     congruence_subgroup_membership,
     division_embedding,
-    embedding_order_level,
     exact_radical_level,
     in_normalizer,
     order_membership,
@@ -265,18 +264,14 @@ def iwahori_level_zero_missing(torus: TorusData) -> bool:
     ctx = torus.ctx
     p = ctx.p
     cand = MatElt.from_rows(ctx, ((0, 1), (-torus.N, torus.T)))
-    if embedding_order_level(OrderKind.J, cand) == 0:
+    if scaled_order_level(OrderKind.J, cand, 12) == 0:
         return False
     for rows in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
                  ((1, 0), (1, 1)), ((1, 0), (0, p)), ((p, 0), (0, 1)),
                  ((0, 1), (p, 0)), ((1, 0), (p, 1)), ((1, 1), (1, 2))):
-        g = MatElt.from_rows(ctx, rows)
         try:
-            moved = cand.conj_by(g)
-        except PrecisionExhausted:
-            continue
-        try:
-            if embedding_order_level(OrderKind.J, moved) == 0:
+            moved = _conjugated(cand, MatElt.from_rows(ctx, rows).entries)
+            if scaled_order_level(OrderKind.J, moved, 12) == 0:
                 return False
         except PrecisionExhausted:
             continue
@@ -511,14 +506,8 @@ class CoverageReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {"decomposition": self.decomposition, "p": self.p, "M": self.M,
-                "samples": self.samples, "seed": self.seed,
-                "violations": self.violations,
-                "r_histogram": {str(k): v for k, v in sorted(self.r_histogram.items())},
-                "odd_component_hits": self.odd_component_hits,
-                "deep_witness_checked": self.deep_witness_checked,
-                "disjointness_pairs": self.disjointness_pairs,
-                "ok": self.ok}
+        return {**asdict(self), "ok": self.ok,
+                "r_histogram": {str(k): v for k, v in sorted(self.r_histogram.items())}}
 
 
 @lru_cache(maxsize=1)
@@ -772,12 +761,12 @@ def _intertwiner(work: PAdicContext, X: MatElt, Y: MatElt) -> MatElt | None:
 
 
 def _conjugated(theta: MatElt, entries: tuple[int, int, int, int]) -> MatElt:
-    """g^-1 theta g for g = entries, field by field theta.conj_by(MatElt(ctx, *entries)).
+    """g^-1 theta g for g = entries, computed on the integer entries.
 
     g^-1 = adj(g) u^-1 / p^v(det), with u the unit part of det mod
     ctx.modulus, so the product is adj(g) theta g u^-1 at denominator
-    v(det) + theta.den.  Raises PrecisionExhausted where MatElt.inv does:
-    det vanishing at the precision.
+    v(det) + theta.den.  Raises PrecisionExhausted where det vanishes at
+    the precision.
     """
     ctx, t11, t12, t21, t22, tden = theta
     mod = ctx.modulus

@@ -92,25 +92,6 @@ class MatElt(_MatFields):
         ctx, a, b, c, d, _ = self
         return (a * d - b * c) % ctx.modulus
 
-    def inv(self) -> "MatElt":
-        """Inverse via the adjugate: (A/p^d)^-1 = adj(A) unit^-1 / p^(v(det A) - d)."""
-        ctx, a, b, c, d, den = self
-        m = ctx.modulus
-        det = (a * d - b * c) % m
-        if det == 0:
-            raise PrecisionExhausted("determinant vanished at precision")
-        vdet = ctx.val(det)
-        ui = ctx.inv(det // ctx.p ** vdet)
-        shift = vdet - den
-        if shift < 0:  # clear the denominator into the scalar
-            ui = ui * ctx.p ** -shift % m
-            shift = 0
-        return MatElt(ctx, d * ui % m, -b * ui % m, -c * ui % m, a * ui % m, shift)
-
-    def conj_by(self, g: "MatElt") -> "MatElt":
-        """g^-1 * self * g."""
-        return g.inv() * self * g
-
 
 # The radical staircase of each chain order, (slope, shifts): x lies in rad^n
 # when v(e_i) - den >= ceil((slope n + shift_i) / 2) for each of its four
@@ -415,14 +396,6 @@ def scaled_order_level(kind: OrderKind, x: MatElt, bound: int) -> int | None:
     if k >= 0 and _valuations_meet([v + k for v in vals], b, x.den, x.ctx):
         return k
     return None
-
-
-def embedding_order_level(kind: OrderKind, theta_image: MatElt) -> int:
-    """min j >= 0 with p^j * theta_image in the order: the optimal level (< 12)."""
-    j = scaled_order_level(kind, theta_image, 12)
-    if j is None:
-        raise PrecisionExhausted("intersection level beyond the search bound 12")
-    return j
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from geomatch.geodesics import (
     _cycle,
     _is_reduced,
     _mat_mul,
-    _mat_pow,
+    _with_power,
 )
 from geomatch.oracle import class_count_bruteforce
 from geomatch.padic import EnumerationTooLarge, NonHyperbolicTrace
@@ -74,19 +75,89 @@ def test_class_count_examples():
         [(1, 1), (1, 1), (3, 2)]
 
 
+def _reference_half_mul(disc, x, y):
+    """Product of (a + b sqrt d)/2 pairs, result in the same normalization."""
+    a, b = x
+    c, d = y
+    num_u = a * c + disc * b * d
+    num_v = a * d + b * c
+    assert num_u % 2 == 0 and num_v % 2 == 0
+    return num_u // 2, num_v // 2
+
+
+@lru_cache(maxsize=None)  # the reference walk asks for every k up to the class's power
+def _reference_pell_power(pell, k):
+    """(U, V) with ((u + v sqrt d)/2)^k = (U + V sqrt d)/2, k >= 0."""
+    U, V = 2, 0
+    A, B = pell.u, pell.v
+    while k:
+        if k & 1:
+            U, V = _reference_half_mul(pell.disc, (U, V), (A, B))
+        A, B = _reference_half_mul(pell.disc, (A, B), (A, B))
+        k >>= 1
+    return U, V
+
+
+def _reference_mat_pow(x, k):
+    out = (1, 0, 0, 1)
+    while k:
+        if k & 1:
+            out = _mat_mul(out, x)
+        x = _mat_mul(x, x)
+        k >>= 1
+    return out
+
+
+def _reference_with_power(t, m, form, pell):
+    """k from the Pell unit's powers, then gamma0^(±k) checked, as first written."""
+    A, B, C = form
+    u, v = pell.u, pell.v
+    g0 = ((u - B * v) // 2, -C * v, A * v, (u + B * v) // 2)
+    gamma = ((t - m * B) // 2, -m * C, m * A, (t + m * B) // 2)
+    k = 1
+    while _reference_pell_power(pell, k)[0] < abs(t):
+        k += 1
+    assert _reference_pell_power(pell, k) == (abs(t), m)
+    if t > 0:
+        assert _reference_mat_pow(g0, k) == gamma
+    else:
+        inv = (g0[3], -g0[1], -g0[2], g0[0])
+        assert _reference_mat_pow(inv, k) == tuple(-e for e in gamma)
+    return k, gamma, g0
+
+
 def test_x0_exactness_and_surd_identity():
     for t in range(3, 21):
         for cls in sl2_classes(t):
             g0 = cls.gamma0
             k = cls.power
-            assert _mat_pow(g0, k) == cls.gamma
+            assert _reference_mat_pow(g0, k) == cls.gamma
             # x + 1/x = |t| for the norm surd: verified through the unit pair
-            U, V = cls.pell.power(k)
+            U, V = _reference_pell_power(cls.pell, k)
             assert U == abs(t) and V == cls.content
         for cls in sl2_classes(-t):
             g0 = cls.gamma0
             inv = (g0[3], -g0[1], -g0[2], g0[0])
-            assert _mat_pow(inv, cls.power) == tuple(-e for e in cls.gamma)
+            assert _reference_mat_pow(inv, cls.power) == tuple(-e for e in cls.gamma)
+
+
+def test_with_power_matches_reference():
+    """Every power k <= 40 of every primitive form of discriminant < 400, both signs."""
+    for d0 in range(5, 400):
+        if d0 % 4 not in (0, 1) or math.isqrt(d0) ** 2 == d0:
+            continue
+        pell = pell_fundamental(d0)
+        for form in primitive_classes(d0):
+            for k in range(1, 41):
+                U, V = _reference_pell_power(pell, k)
+                for t in (U, -U):
+                    ref = _reference_with_power(t, V, form, pell)
+                    cls = _with_power(t, V, form, ref[1], pell)
+                    assert (cls.power, cls.gamma, cls.gamma0) == ref, (d0, form, k, t)
+    form = primitive_classes(5)[0]
+    for t, m in ((7, 1), (18, 9)):
+        with pytest.raises(AssertionError):
+            _with_power(t, m, form, None, pell_fundamental(5))
 
 
 def test_gamma_commutes_with_gamma0():

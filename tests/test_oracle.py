@@ -111,8 +111,9 @@ def test_embeddings_verified_optimal():
 
 
 def test_iwahori_level_zero_empty():
-    for p in (2, 3):
-        assert iwahori_level_zero_missing(unramified_torus(p, 12))
+    for p in (2, 3, 5, 7):
+        for M in (3, 4, 5, 6, 8, 12, 16):
+            assert iwahori_level_zero_missing(unramified_torus(p, M)), (p, M)
 
 
 def test_oracle_examples():
@@ -243,6 +244,22 @@ def _fresh_sample(rng, p, M, work, unit_det):
             return MatElt.from_rows(work, ((a, b), (c, d)))
 
 
+def _reference_conj_by(x, g):
+    """g^-1 x g, with g^-1 a MatElt built from the adjugate, as first written."""
+    ctx, a, b, c, d, den = g
+    m = ctx.modulus
+    det = (a * d - b * c) % m
+    if det == 0:
+        raise PrecisionExhausted("determinant vanished at precision")
+    vdet = ctx.val(det)
+    ui = ctx.inv(det // ctx.p ** vdet)
+    shift = vdet - den
+    if shift < 0:  # clear the denominator into the scalar
+        ui = ui * ctx.p ** -shift % m
+        shift = 0
+    return MatElt(ctx, d * ui % m, -b * ui % m, -c * ui % m, a * ui % m, shift) * x * g
+
+
 def _reference_guarded_val(ctx, x, big):
     if x % ctx.modulus == 0:
         return big
@@ -343,7 +360,7 @@ def _reference_intertwiner(work, X, Y):
 
 def _reference_nonsplit_deep_witness(work, torus, kind, g, r):
     """The conjugating-witness grid scan built from MatElt products, as first written."""
-    Y = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1).conj_by(g)
+    Y = _reference_conj_by(MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1), g)
     emb = oracle.checked_embedding(torus, kind, r)
     P = _reference_intertwiner(work, emb.of_coords(0, 1), Y)
     if P is None:
@@ -397,7 +414,7 @@ def _fresh_nonsplit(kind, torus_kind, p, M, samples, seed):
     for idx in range(samples):
         g = _fresh_sample(rng, p, M, work, unit_det=(idx % 2 == 0))
         try:
-            Y = theta.conj_by(g)
+            Y = _reference_conj_by(theta, g)
         except PrecisionExhausted:
             rep.violations.append({"type": "no-inverse", "sample": idx})
             continue
@@ -534,7 +551,7 @@ def test_coverage_kernels_match_matelt_references(data):
     torus = oracle._canonical_torus(torus_kind, p, work.M)
     theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
     try:
-        Y = theta.conj_by(g)
+        Y = _reference_conj_by(theta, g)
     except PrecisionExhausted:
         with pytest.raises(PrecisionExhausted):
             oracle._conjugated(theta, entries)
@@ -565,7 +582,7 @@ def test_intertwiner_matches_pairwise_search(data):
     torus = oracle._canonical_torus(torus_kind, p, work.M)
     theta = MatrixEmbedding(torus, OrderKind.M, 0).of_coords(0, 1)
     try:
-        Y = theta.conj_by(MatElt(work, *entries))
+        Y = _reference_conj_by(theta, MatElt(work, *entries))
     except PrecisionExhausted:
         return
     r = scaled_order_level(kind, Y, 2 * M + 4)
