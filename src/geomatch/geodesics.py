@@ -3,8 +3,12 @@
 Classes of trace t correspond to integral binary quadratic forms of
 discriminant t^2 - 4 (including imprimitive ones, one m-scaled copy for each
 m^2 dividing the discriminant) up to proper equivalence; cycles of reduced
-forms enumerate them, Pell units give the primitive hyperbolic generators,
-and reduction mod N splits classes into Gamma(N) at every level N.
+forms enumerate them.  Every class of content m lies in the quadratic order
+of discriminant d0 = (t^2 - 4)/m^2 and shares its Pell unit, its power and
+its level-N split with the other classes there, so the classes are kept as
+one row per order: h = the number of primitive classes of d0, the power from
+the Pell unit's powers (u_k + v_k sqrt d0)/2, and the split into Gamma(N),
+at every level N, read off (u_k, v_k) mod 2N.
 All surd arithmetic is exact; logarithms are taken only at output.
 """
 
@@ -53,6 +57,11 @@ def _log_alpha(u: int) -> float:
     if u + s < 10 ** 300:
         base += math.log1p(frac / (u + s))
     return base
+
+
+def _mat_mul(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
 @lru_cache(maxsize=None)
@@ -145,46 +154,49 @@ def primitive_classes(disc: int) -> tuple[tuple[int, int, int], ...]:
 # trace classes
 
 
-def _mat_mul(x, y):
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+def _unit_powers(pell: PellUnit):
+    """Yield (k, u_k, v_k) with ((u + v sqrt d)/2)^k = (u_k + v_k sqrt d)/2, k = 1, 2, ..."""
+    u, v, d = pell.u, pell.v, pell.disc
+    uk, vk, k = u, v, 1
+    while True:
+        yield k, uk, vk
+        uk, vk, k = (uk * u + d * vk * v) // 2, (uk * v + vk * u) // 2, k + 1
 
 
-def _automorph(form, pell):
-    """The automorph of form that the Pell unit (u + v sqrt d)/2 gives."""
-    A, B, C = form
-    u, v = pell.u, pell.v
-    return ((u - B * v) // 2, -C * v, A * v, (u + B * v) // 2)
+def _order_power(t: int, m: int, pell: PellUnit) -> int:
+    """The k with (|t| + m sqrt d)/2 = ((u + v sqrt d)/2)^k, checked exactly.
+
+    The unit's powers are walked until u_k reaches |t|; there (u_k, v_k) must
+    be (|t|, m).  The unit maps to each form's primitive automorph gamma0 by
+    a ring map, so every class of trace t and content m is sign(t) gamma0^(±k).
+    """
+    for k, uk, vk in _unit_powers(pell):
+        if uk >= abs(t):
+            if (uk, vk) != (abs(t), m):
+                raise AssertionError("no power of the Pell unit has trace |t| and content m")
+            return k
 
 
 @dataclass(frozen=True)
-class QuadFormClass:
-    """One SL2(Z)-conjugacy class of trace t.
+class OrderRow:
+    """The SL2(Z)-classes of trace t in one quadratic order.
 
-    content scales a primitive canonical form; gamma is an integral trace-t
-    representative, gamma0 the fundamental automorph generating its
-    centralizer mod sign, with gamma = sign(t) * gamma0^(±power).
+    The order has discriminant d0 = (t^2 - 4)/content^2 = pell.disc; it holds
+    h classes, one per primitive form of discriminant d0, scaled by content.
+    They share the Pell unit, the power over their primitive automorph and
+    every level-N split.
     """
 
     t: int
     content: int
-    form: tuple[int, int, int]
-    gamma: tuple[int, int, int, int]
+    h: int
     pell: PellUnit
     power: int
 
-    @property
-    def gamma0(self) -> tuple[int, int, int, int]:
-        return _automorph(self.form, self.pell)
-
-    def log_x0(self) -> float:
-        """log of the primitive norm in the eigenvalue normalization."""
-        return self.pell.log()
-
 
 @lru_cache(maxsize=None)
-def sl2_classes(t: int) -> tuple[QuadFormClass, ...]:
-    """All SL2(Z)-conjugacy classes of hyperbolic trace t, duplicate-free."""
+def sl2_classes(t: int) -> tuple[OrderRow, ...]:
+    """The SL2(Z)-conjugacy classes of hyperbolic trace t, one row per order."""
     if abs(t) <= 2:
         raise NonHyperbolicTrace(f"|t| = {abs(t)} <= 2")
     disc = t * t - 4
@@ -192,35 +204,11 @@ def sl2_classes(t: int) -> tuple[QuadFormClass, ...]:
     m = 1
     while m * m <= disc:
         if disc % (m * m) == 0 and (disc // (m * m)) % 4 in (0, 1):
-            d0 = disc // (m * m)
-            pell = pell_fundamental(d0)
-            for form in primitive_classes(d0):
-                A, B, C = form
-                gamma = ((t - m * B) // 2, -m * C, m * A, (t + m * B) // 2)
-                cls = _with_power(t, m, form, gamma, pell)
-                out.append(cls)
+            pell = pell_fundamental(disc // (m * m))
+            h = len(primitive_classes(pell.disc))
+            out.append(OrderRow(t, m, h, pell, _order_power(t, m, pell)))
         m += 1
     return tuple(out)
-
-
-def _with_power(t, m, form, gamma, pell) -> QuadFormClass:
-    """Determine k with gamma = sign gamma0^(±k), verified exactly.
-
-    gamma0's integer powers are walked until the trace reaches |t|; then
-    gamma0^k must be the m-scaled automorph of trace |t|, which is gamma for
-    t > 0 and -gamma^-1 for t < 0.  (u + v sqrt d)/2 -> gamma0 is a ring
-    map, so this one equality also says that the k-th power of the Pell
-    unit is (|t| + m sqrt d)/2.
-    """
-    A, B, C = form
-    g0 = cur = _automorph(form, pell)
-    k = 1
-    while cur[0] + cur[3] < abs(t):
-        cur = _mat_mul(cur, g0)
-        k += 1
-    if cur != ((abs(t) - m * B) // 2, -m * C, m * A, (abs(t) + m * B) // 2):
-        raise AssertionError("gamma0^k does not reproduce gamma")
-    return QuadFormClass(t, m, form, gamma, pell, k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _principal_c(N: int) -> Fraction:
     return Fraction(1, 2) if 2 % N == 0 else Fraction(1)
 
 
-@lru_cache(maxsize=None)  # gamma_splitting asks once per class
+@lru_cache(maxsize=None)  # gamma_splitting asks once per order
 def sl2_group_order(N: int) -> int:
     """|SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2) (Diamond-Shurman, section 1.2)."""
     order = N ** 3
@@ -282,35 +270,31 @@ def sl2_group_order(N: int) -> int:
     return order
 
 
-def _mod(mat, N):
-    return tuple(e % N for e in mat)
+def gamma_splitting(row: OrderRow, N: int) -> tuple[int, int]:
+    """(count, primitive_index) of each class of the order under the level-N splitting.
 
-
-def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
-    """(count, primitive_index) of the class under the level-N splitting.
-
-    count, the number of level-N classes inside the SL2(Z)-class, is 0 unless
-    gamma = 1 mod N, and then (0, 0) is returned without a walk.  Otherwise
-    primitive_index is m*, the least m with gamma0^m = +-1 mod N: gamma is
-    +-gamma0^(+-power), so m* divides power and the walk over the powers of
-    gamma0 mod N takes at most power steps.  The image of the centralizer
+    With B = d0 mod 2, the class element gamma is 1 mod N exactly when N | m
+    and t - m B = 2 mod 2N; otherwise count is 0 and (0, 0) is returned
+    without a walk.  Otherwise primitive_index is m*, the least k with the
+    Pell unit's power (u_k + v_k sqrt d0)/2 in +-Gamma(N), that is N | v_k and
+    u_k - B v_k = +-2 mod 2N: gamma is +-gamma0^(+-power), so m* divides power
+    and the walk takes at most power steps.  The image of the centralizer
     <gamma0, -1> has m* elements when -1 = 1 mod N and 2 m* otherwise, and
     count is |SL2(Z/N)| over that size.
     """
     if N == 1:
         return 1, 1
-    ident, neg = (1, 0, 0, 1), (N - 1, 0, 0, N - 1)
-    if _mod(cls.gamma, N) != ident:
+    B = row.pell.disc % 2
+    if row.content % N or (row.t - row.content * B - 2) % (2 * N):
         return 0, 0
-    g0 = _mod(cls.gamma0, N)
-    cur, mstar = g0, 1
-    while cur != ident and cur != neg and mstar < cls.power:
-        cur = _mod(_mat_mul(cur, g0), N)
-        mstar += 1
-    if (cur != ident and cur != neg) or cls.power % mstar:
-        raise AssertionError("gamma0 mod N does not reach +-1 at a divisor of the class's power")
+    for mstar, uk, vk in _unit_powers(row.pell):
+        hit = vk % N == 0 and (uk - B * vk) % (2 * N) in (2, 2 * N - 2)
+        if hit or mstar == row.power:
+            break
+    if not hit or row.power % mstar:
+        raise AssertionError("the Pell unit does not reach +-Gamma(N) at a divisor of the power")
     total = sl2_group_order(N)
-    size = mstar if neg == ident else 2 * mstar  # |<gamma0, -1> mod N|
+    size = mstar if N == 2 else 2 * mstar  # |<gamma0, -1> mod N|
     assert total % size == 0
     return total // size, mstar
 
@@ -323,9 +307,10 @@ def gamma_splitting(cls: QuadFormClass, N: int) -> tuple[int, int]:
 class TraceRow:
     """Level-N class data of one hyperbolic trace t.
 
-    log_weight is the sum of count * m* * log x0 over the SL2(Z)-classes,
-    primitive the number of level-N classes whose element is primitive, and
-    contribution = c * 2 * log_weight the trace's share of psi.
+    class_count_sl2 is the number of SL2(Z)-classes, the sum of h over the
+    trace's orders; log_weight the sum of count * m* * log x0 over those
+    classes, primitive the number of level-N classes whose element is
+    primitive, and contribution = c * 2 * log_weight the trace's share of psi.
     """
 
     t: int
@@ -342,18 +327,25 @@ class TraceRow:
 
 @lru_cache(maxsize=None)
 def trace_row(N: int, t: int) -> TraceRow:
-    """The level-N row of trace t; each class is split exactly once."""
-    classes = sl2_classes(t)
+    """The level-N row of trace t; each order is split exactly once.
+
+    Each order's float term is added h times, once per class, in the order
+    the classes are listed, so log_weight is the per-class sum to the bit.
+    """
+    orders = sl2_classes(t)
     in_level = primitive = 0
     weight = 0.0
-    for cls in classes:
-        count, mstar = gamma_splitting(cls, N)
-        in_level += count
-        weight += count * mstar * cls.log_x0()
-        if cls.power == mstar:
-            primitive += count
+    for row in orders:
+        count, mstar = gamma_splitting(row, N)
+        in_level += row.h * count
+        term = count * mstar * row.pell.log()
+        for _ in range(row.h):
+            weight += term
+        if row.power == mstar:
+            primitive += row.h * count
     c = _principal_c(N)
-    return TraceRow(t, len(classes), in_level, weight, primitive, float(c) * 2.0 * weight)
+    return TraceRow(t, sum(row.h for row in orders), in_level, weight, primitive,
+                    float(c) * 2.0 * weight)
 
 
 def signed_traces(t_min: int, t_max: int):

