@@ -69,18 +69,28 @@ class RamifiedLevelData:
                            tuple(sorted((p, n) for p, n in exponents.items() if n > 0)))
 
 
+def _double(items, f, g):
+    """[g(items[0]), f(item) for every item, g(item) for the rest]: one ramified prime.
+
+    Doubling at each ramified prime, from the largest down, with f for the
+    subsets that take the prime and g for those that do not, lists the subsets
+    in sorted order: for the least prime p, the sorted subsets are (), then
+    (p,) + s, then s != (), for s over the sorted subsets of the rest.
+    """
+    rest = list(map(g, items))
+    return rest[:1] + list(map(f, items)) + rest[1:]
+
+
 def relation_terms(data: RamifiedLevelData):
     """((I, coeff_I, descriptor of Gamma_I), ...) over the subsets I of ram, and D's descriptor.
 
     One walk over the primes of ram and of the exponents builds every term: a
-    ramified p of level n doubles each term, into one with a_p and (p, M,
-    f-level) for p in I and one with b_p and (p, J, g-level) for p not in I,
-    and gives the quaternion side (p, D, n); any other p of level n adds
+    ramified p of level n doubles each term (_double), into one with a_p and
+    (p, M, f-level) for p in I and one with b_p and (p, J, g-level) for p not
+    in I, and gives the quaternion side (p, D, n); any other p of level n adds
     (p, M, n) to both sides.  The walk runs from the largest prime down and
     prepends, so entries come out in increasing prime order and the subsets
-    in sorted order: for the least prime p, the sorted subsets are (), then
-    (p,) + s, then s != (), for s over the sorted subsets of the rest.  The
-    coefficients sum to 1 exactly since a_p + b_p = 1.
+    in sorted order.  The coefficients sum to 1 exactly since a_p + b_p = 1.
     """
     levels = dict(data.exponents)
     terms = [((), Fraction(1), ())]
@@ -90,9 +100,10 @@ def relation_terms(data: RamifiedLevelData):
         if p in data.ram:
             combo = matching_combination(p, n)
             f_entry, g_entry = (p, OrderKind.M, combo.f_level), (p, OrderKind.J, combo.g_level)
-            out = [(s, c * combo.coeff_g, (g_entry, *e)) for s, c, e in terms]
-            terms = out[:1] + [((p, *s), c * combo.coeff_f, (f_entry, *e))
-                               for s, c, e in terms] + out[1:]
+            terms = _double(
+                terms,
+                lambda term: ((p, *term[0]), term[1] * combo.coeff_f, (f_entry, *term[2])),
+                lambda term: (term[0], term[1] * combo.coeff_g, (g_entry, *term[2])))
             quaternion = ((p, OrderKind.D, n), *quaternion)
         else:
             entry = (p, OrderKind.M, n)
@@ -124,12 +135,17 @@ def matched_local_factor(level: int, lt: LocalType) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def local_ratio(kind: OrderKind, level: int, lt: LocalType) -> Fraction:
-    """local_factor(kind, level, lt) over Gamma(1)'s factor at the same type, exactly."""
+def local_ratio(kind: OrderKind, level: int, lt: LocalType) -> tuple[int, int]:
+    """local_factor(kind, level, lt) over Gamma(1)'s factor at the same type, exactly.
+
+    The reduced ratio as a (numerator, denominator) pair of ints, so that a
+    product of ratios is two int products and one division.
+    """
     full = local_factor(OrderKind.M, 0, lt)
     if full <= 0:
         raise AssertionError("full-level local factor must be positive")
-    return local_factor(kind, level, lt) / full
+    ratio = local_factor(kind, level, lt) / full
+    return ratio.numerator, ratio.denominator
 
 
 def factor_support(desc: GroupDescriptor, t: int) -> tuple[int, ...]:
@@ -169,14 +185,17 @@ def predict_dpsi(desc: GroupDescriptor, t: int) -> float:
 
     c dpsi / (c_1 dpsi_1) is local_product(desc) / local_product(Gamma(1)),
     whose factors agree away from the descriptor's own primes, so only those
-    enter the ratio; each prime's exact ratio is cached per local type.
+    enter the ratio; each prime's exact ratio is cached per local type.  The
+    ratios' numerators and denominators are multiplied as ints and divided
+    once: int true division is correctly rounded, as float(Fraction) is.
     """
-    ratio = Fraction(1)
+    num = den = 1
     for p, kind, level in desc.entries:
-        ratio *= local_ratio(kind, level, local_type(t, p))
-        if ratio == 0:
+        n, d = local_ratio(kind, level, local_type(t, p))
+        if not n:
             return 0.0
-    return extract_global_constant(t) * float(ratio) / float(c_factor(desc))
+        num, den = num * n, den * d
+    return extract_global_constant(t) * (num / den) / float(c_factor(desc))
 
 
 def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
@@ -201,15 +220,86 @@ def dpsi_value(desc: GroupDescriptor, t: int) -> tuple[float, str]:
 IDENTITY_TOLERANCE = 1e-9
 
 
-def _trace_terms(terms, floats, qdesc: GroupDescriptor, t: int):
-    """([(dpsi, mode)] per Eichler term, dpsi_D, whether the identity holds) at trace t.
+@dataclass(frozen=True)
+class _RelationPlan:
+    """What _trace_terms reads of one relation, formed once per relation."""
 
-    floats holds (c_I, coeff_I c_I) per term.  dpsi_D is the quaternion descriptor's own value.
+    terms: tuple  # relation_terms' (I, coeff_I, descriptor of Gamma_I) per Eichler term
+    qdesc: GroupDescriptor
+    floats: tuple[tuple[float, float], ...]  # (c_I, coeff_I c_I) per term
+    principal: int  # the one term that is a Gamma(N), I = ram: enumerated
+    # per prime, increasing: (p, D's kind and level, f-level, g-level, whether a
+    # ramified prime follows); D's kind is M exactly at the unramified primes
+    steps: tuple[tuple[int, OrderKind, int, int, int, bool], ...]
+
+    def modes(self) -> tuple[str, ...]:
+        return tuple("enumerated" if k == self.principal else "predicted"
+                     for k in range(len(self.terms)))
+
+
+def _relation_plan(data: RamifiedLevelData) -> _RelationPlan:
+    terms, qdesc = relation_terms(data)
+    floats = tuple((c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms)
+    principal = next(k for k, (_, _, desc) in enumerate(terms)
+                     if desc.principal_level() is not None)
+    # I = ram carries every f-level, I = () every g-level; both carry the unramified levels
+    last = max(data.ram)
+    steps = tuple((p, kind, level, f, g, p < last) for (p, kind, level), (_, _, f), (_, _, g)
+                  in zip(qdesc.entries, terms[principal][2].entries, terms[0][2].entries))
+    return _RelationPlan(terms, qdesc, floats, principal, steps)
+
+
+_ZERO = (0, 1)  # the ratio of a factor that no predicted term reaches
+
+
+def _trace_terms(plan: _RelationPlan, t: int):
+    """([dpsi_I per Eichler term], dpsi_D, whether the identity holds) at trace t.
+
+    Each value is the one dpsi_value gives.  One walk up the primes reads each
+    local type once, and reads a ratio only where predict_dpsi would: where a
+    predicted descriptor taking it has a nonzero product over the smaller
+    primes.  Then _double, from the largest ramified prime down, forms every
+    term's ratio with one int product per term.
     """
-    vals = [dpsi_value(desc, t) for _, _, desc in terms]
-    dpsi_q, _ = dpsi_value(qdesc, t)
-    weighted = [coeff_c * val for (_, coeff_c), (val, _) in zip(floats, vals) if val]
-    gap = sum(weighted) - float(c_factor(qdesc)) * dpsi_q
+    alive = True  # some product of Eichler ratios over the primes walked is nonzero
+    with_j = False  # ... and one has a J entry, so its terms are predicted
+    num = den = 1  # the unramified primes' ratios, shared by every term
+    q_num = q_den = 1  # the quaternion side's ratio
+    pairs = []  # (f ratio, g ratio) per ramified prime
+    for p, kind, level, f_level, g_level, later in plan.steps:
+        if not (alive or q_num):
+            break
+        lt = local_type(t, p)
+        if kind is OrderKind.M:
+            n, d = local_ratio(kind, level, lt) if with_j or alive and later or q_num else _ZERO
+            if not n:
+                with_j = False
+                q_num = 0
+                break
+            num, den, q_num, q_den = num * n, den * d, q_num * n, q_den * d
+            continue
+        g = local_ratio(OrderKind.J, g_level, lt) if alive else _ZERO
+        f = local_ratio(OrderKind.M, f_level, lt) if with_j or alive and later else _ZERO
+        if q_num:
+            n, d = local_ratio(kind, level, lt)
+            q_num, q_den = q_num * n, q_den * d
+        with_j = with_j and f[0] != 0 or alive and g[0] != 0
+        alive = alive and (f[0] != 0 or g[0] != 0)
+        pairs.append((f, g))
+    vals = [0.0] * len(plan.terms)
+    if with_j:
+        nums, dens = [num], [den]
+        for (f_num, f_den), (g_num, g_den) in reversed(pairs):
+            nums = _double(nums, f_num.__mul__, g_num.__mul__)
+            dens = _double(dens, f_den.__mul__, g_den.__mul__)
+        base = extract_global_constant(t)
+        vals = [base * (n / d) / c if n else 0.0
+                for n, d, (c, _) in zip(nums, dens, plan.floats)]
+    vals[plan.principal] = dpsi_value(plan.terms[plan.principal][2], t)[0]
+    c_q = float(c_factor(plan.qdesc))
+    dpsi_q = extract_global_constant(t) * (q_num / q_den) / c_q if q_num else 0.0
+    weighted = [coeff_c * val for (_, coeff_c), val in zip(plan.floats, vals) if val]
+    gap = sum(weighted) - c_q * dpsi_q
     return vals, dpsi_q, abs(gap) <= IDENTITY_TOLERANCE * sum(map(abs, weighted))
 
 
@@ -238,9 +328,9 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     identities behind the relation are checked as well: the subset expansion of
     the local products and the agreement with the quaternion-side local product.
     """
-    terms, qdesc = relation_terms(data)
-    floats = [(c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
-    vals, dpsi_q, identity_ok = _trace_terms(terms, floats, qdesc, t)
+    plan = _relation_plan(data)
+    terms, qdesc = plan.terms, plan.qdesc
+    vals, dpsi_q, identity_ok = _trace_terms(plan, t)
     subset_sum = sum(coeff * local_product(desc, t) for _, coeff, desc in terms)
     matched = Fraction(1)
     for p in factor_support(qdesc, t):
@@ -253,7 +343,7 @@ def dpsi_relation(data: RamifiedLevelData, t: int) -> DpsiRelationReport:
     exact_ok = subset_sum == matched
     matching_ok = matched == local_product(qdesc, t)
     relation = tuple(RelationTerm(s, coeff, val, mode)
-                     for (s, coeff, _), (val, mode) in zip(terms, vals))
+                     for (s, coeff, _), val, mode in zip(terms, vals, plan.modes()))
     return DpsiRelationReport(t, dpsi_q, relation, exact_ok, matching_ok, identity_ok)
 
 
@@ -285,23 +375,20 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
     size = 2 ** len(data.ram) * 2 * (trace_bound(x) - 2)
     if size > ENUM_CAP:
         raise EnumerationTooLarge(f"relation table of {size} values exceeds 2^20")
-    terms, qdesc = relation_terms(data)
-    # the floats are formed once per report, not per trace
-    floats = [(c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms]
-    psi_terms = [0.0] * len(terms)
+    plan = _relation_plan(data)
+    psi_terms = [0.0] * len(plan.terms)
     per_trace = []
     violation = None
     for t in signed_traces(3, trace_bound(x)):
         weight = 2.0 * math.sqrt(abs(t) - 2)
-        vals, dq, ok = _trace_terms(terms, floats, qdesc, t)
-        for k, ((c, _), (val, _)) in enumerate(zip(floats, vals)):
-            psi_terms[k] += c * weight * val
-        per_trace.append((t, tuple(val for val, _ in vals), dq))
+        vals, dq, ok = _trace_terms(plan, t)
+        psi_terms = [psi + c * weight * val
+                     for psi, (c, _), val in zip(psi_terms, plan.floats, vals)]
+        per_trace.append((t, tuple(vals), dq))
         if not ok and violation is None:
             violation = t
-    # each term reports the mode of its last trace
-    relation = tuple(RelationTerm(s, coeff, psi, mode)
-                     for (s, coeff, _), psi, (_, mode) in zip(terms, psi_terms, vals))
+    relation = tuple(RelationTerm(s, coeff, psi, mode) for (s, coeff, _), psi, mode
+                     in zip(plan.terms, psi_terms, plan.modes()))
     psi_q = 0.0
     for term in relation:
         psi_q += float(term.coefficient) * term.value
@@ -309,7 +396,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
         x=float(x),
         psi_quaternion=psi_q,
         terms=relation,
-        coefficient_sum=sum(coeff for _, coeff, _ in terms),
+        coefficient_sum=sum(coeff for _, coeff, _ in plan.terms),
         error=psi_q - float(x),
         bound_7_10=float(x) ** 0.7,
         per_trace=tuple(per_trace),

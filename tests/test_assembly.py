@@ -4,22 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomatch import assembly
 from geomatch.assembly import (
     MAX_EXPONENT,
     RamifiedLevelData,
+    _relation_plan,
+    _trace_terms,
     dpsi_relation,
     dpsi_value,
     extract_global_constant,
     factor_support,
     local_factor,
     local_product,
+    local_ratio,
     matched_local_factor,
     predict_dpsi,
     psi_relation,
     relation_terms,
 )
 from geomatch.geodesics import (
-    GroupDescriptor, c_factor, dpsi_enumerated, psi_enumerated, trace_bound,
+    GroupDescriptor, c_factor, dpsi_enumerated, psi_enumerated, signed_traces, trace_bound,
 )
 from geomatch.integrals import matching_combination
 from geomatch.orders import OrderKind
@@ -557,7 +561,6 @@ def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, s
     # The type answers each question the closed forms ask as the canonical
     # element of either trace does, and the factor cached for the type must be
     # the orbital at each trace's own element.
-    from geomatch.assembly import local_ratio
     from geomatch.padic import classify_torus
     t = sign * (2 + u * p ** k)
     lt = local_type(t, p)
@@ -578,7 +581,7 @@ def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, s
 
 
 # the relation shapes of the CI workflow at x = 400, or at their CI x where that
-# is smaller: the 14-prime table at x = 400 takes about 11 s
+# is smaller: the 14-prime table at x = 400 (2^14 x 36 values) takes about 0.5 s
 CI_RELATIONS = (
     ((2, 3), (), 400),
     ((2, 3, 5, 7), ((2, 1), (3, 1)), 400),
@@ -604,7 +607,6 @@ def test_global_path_builds_no_p_adic_element(monkeypatch):
     # before the bindings refuse
     import sys
     from geomatch import padic
-    from geomatch.assembly import local_ratio
 
     own = {t: _factors_at_own_element(MAX_EXPONENT, t, 2) for t in EDGE_TRACES}
     assert {local_type(t, 2).torus for t in EDGE_TRACES} == \
@@ -653,11 +655,10 @@ RELATION_POOL = (
 
 def test_relation_pool_builds_one_local_factor_per_local_type():
     # a cold sweep computes each (kind, level, local type) factor once, and
-    # only the ones predict_dpsi reads for the predicted Eichler terms and
+    # only the ones predict_dpsi would read for the predicted Eichler terms and
     # the quaternion descriptor: at each trace, the descriptor's own primes
-    # in order, up to the first vanishing factor
-    from geomatch.assembly import local_ratio
-    from geomatch.geodesics import signed_traces
+    # in order, up to the first vanishing factor.  The sweep forms every term
+    # at once by the subset doubling, which must read no more than that
     local_factor.cache_clear()
     local_ratio.cache_clear()
     datas = [RamifiedLevelData(ram, exps) for ram, exps in RELATION_POOL]
@@ -693,3 +694,59 @@ def test_quaternion_side_is_its_own_prediction(ram, exps, x):
     for t, _, dq in rep.per_trace:
         assert dq >= 0.0, t
         assert (dq == 0.0) == (local_product(qdesc, t) == 0), t
+
+
+def _assert_doubled_values_are_per_descriptor_values(data, x):
+    plan = _relation_plan(data)
+    for t in signed_traces(3, trace_bound(x)):
+        vals, dq, _ = _trace_terms(plan, t)
+        for (subset, _, desc), val in zip(plan.terms, vals):
+            assert val == dpsi_value(desc, t)[0], (subset, t)
+        assert dq == predict_dpsi(plan.qdesc, t), t
+
+
+@pytest.mark.parametrize("ram, exps, x", [(ram, exps, 2e4) for ram, exps in RELATION_POOL]
+                         + list(CI_RELATIONS))
+def test_doubled_values_are_the_per_descriptor_values(ram, exps, x):
+    # the per-trace walk shared by psi_relation and dpsi_relation forms every
+    # term by the subset doubling and reads only some ratios; each value must
+    # be, to the bit, what dpsi_value gives for that descriptor alone
+    _assert_doubled_values_are_per_descriptor_values(RamifiedLevelData(ram, exps), x)
+
+
+PRIMES_TO_43 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@settings(max_examples=100)
+@given(ram=st.integers(1, 3).flatmap(lambda k: st.lists(
+           st.sampled_from(PRIMES_TO_43), min_size=2 * k, max_size=2 * k, unique=True)),
+       levels=st.dictionaries(st.sampled_from(PRIMES_TO_43), st.integers(0, 4)),
+       at=st.integers(0, 15), k=st.integers(0, 60), u=st.integers(1, 10 ** 4),
+       sign=st.sampled_from([1, -1]))
+def test_int_pair_ratios_are_the_fraction_ratios(ram, levels, at, k, u, sign):
+    # t = +-(2 + u p^k) for a prime p of the relation, with v_p(t^2 - 4) up to
+    # 60 and beyond: every descriptor's product of local_ratio int pairs is the
+    # product of its exact Fraction ratios, their floats agree, and the
+    # doubled value is the parent formula c_1 dpsi_1 * float(ratio) / c; the
+    # enumerated constants are stubbed, since no class is enumerable at
+    # such traces
+    from unittest import mock
+    data = RamifiedLevelData(tuple(ram), tuple(levels.items()))
+    plan = _relation_plan(data)
+    t = sign * (2 + u * plan.steps[at % len(plan.steps)][0] ** k)
+    with mock.patch.object(assembly, "extract_global_constant", lambda t: 1.0), \
+            mock.patch.object(assembly, "dpsi_enumerated", lambda N, t: 0.0):
+        vals, dq, _ = _trace_terms(plan, t)
+        for desc, val in [(desc, val) for (_, _, desc), val in zip(plan.terms, vals)
+                          if desc.principal_level() is None] + [(plan.qdesc, dq)]:
+            num = den = 1
+            ratio = Fraction(1)
+            for p, kind, level in desc.entries:
+                lt = local_type(t, p)
+                n, d = local_ratio(kind, level, lt)
+                num, den = num * n, den * d
+                ratio *= local_factor(kind, level, lt) / local_factor(OrderKind.M, 0, lt)
+            assert Fraction(num, den) == ratio, (desc, t)
+            assert num / den == float(ratio), (desc, t)
+            want = 0.0 if ratio == 0 else 1.0 * float(ratio) / float(c_factor(desc))
+            assert val == predict_dpsi(desc, t) == want, (desc, t)
