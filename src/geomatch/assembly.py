@@ -82,36 +82,9 @@ def _double(items, f, g):
 
 
 def relation_terms(data: RamifiedLevelData):
-    """((I, coeff_I, descriptor of Gamma_I), ...) over the subsets I of ram, and D's descriptor.
-
-    One walk over the primes of ram and of the exponents builds every term: a
-    ramified p of level n doubles each term (_double), into one with a_p and
-    (p, M, f-level) for p in I and one with b_p and (p, J, g-level) for p not
-    in I, and gives the quaternion side (p, D, n); any other p of level n adds
-    (p, M, n) to both sides.  The walk runs from the largest prime down and
-    prepends, so entries come out in increasing prime order and the subsets
-    in sorted order.  The coefficients sum to 1 exactly since a_p + b_p = 1.
-    """
-    levels = dict(data.exponents)
-    terms = [((), Fraction(1), ())]
-    quaternion = ()
-    for p in sorted(set(data.ram) | levels.keys(), reverse=True):
-        n = levels.get(p, 0)
-        if p in data.ram:
-            combo = matching_combination(p, n)
-            f_entry, g_entry = (p, OrderKind.M, combo.f_level), (p, OrderKind.J, combo.g_level)
-            terms = _double(
-                terms,
-                lambda term: ((p, *term[0]), term[1] * combo.coeff_f, (f_entry, *term[2])),
-                lambda term: (term[0], term[1] * combo.coeff_g, (g_entry, *term[2])))
-            quaternion = ((p, OrderKind.D, n), *quaternion)
-        else:
-            entry = (p, OrderKind.M, n)
-            terms = [(s, c, (entry, *e)) for s, c, e in terms]
-            quaternion = (entry, *quaternion)
-    if sum(c for _, c, _ in terms) != 1:
-        raise AssertionError("subset coefficients must sum to 1")
-    return tuple((s, c, GroupDescriptor(e)) for s, c, e in terms), GroupDescriptor(quaternion)
+    """((I, coeff_I, descriptor of Gamma_I), ...) over the subsets I of ram, and D's descriptor."""
+    plan = _relation_plan(data)
+    return plan.terms, plan.qdesc
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +197,15 @@ IDENTITY_TOLERANCE = 1e-9
 class _RelationPlan:
     """What _trace_terms reads of one relation, formed once per relation."""
 
-    terms: tuple  # relation_terms' (I, coeff_I, descriptor of Gamma_I) per Eichler term
+    terms: tuple  # (I, coeff_I, descriptor of Gamma_I) per Eichler term, in sorted-subset order
     qdesc: GroupDescriptor
+    # per prime, increasing: (p, whether ramified, f-level, g-level, whether a
+    # larger ramified prime follows); f-level = g-level = n at an unramified p
+    steps: tuple[tuple[int, bool, int, int, bool], ...]
+    coefficient_sum: Fraction
     floats: tuple[tuple[float, float], ...]  # (c_I, coeff_I c_I) per term
+    c_q: float  # c_D
     principal: int  # the one term that is a Gamma(N), I = ram: enumerated
-    # per prime, increasing: (p, D's kind and level, f-level, g-level, whether a
-    # ramified prime follows); D's kind is M exactly at the unramified primes
-    steps: tuple[tuple[int, OrderKind, int, int, int, bool], ...]
 
     def modes(self) -> tuple[str, ...]:
         return tuple("enumerated" if k == self.principal else "predicted"
@@ -238,15 +213,45 @@ class _RelationPlan:
 
 
 def _relation_plan(data: RamifiedLevelData) -> _RelationPlan:
-    terms, qdesc = relation_terms(data)
-    floats = tuple((c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms)
-    principal = next(k for k, (_, _, desc) in enumerate(terms)
-                     if desc.principal_level() is not None)
-    # I = ram carries every f-level, I = () every g-level; both carry the unramified levels
+    """The relation's terms, D's descriptor and one step per prime, in one walk.
+
+    A ramified p of level n doubles each term (_double), into one with a_p and
+    (p, M, f-level) for p in I and one with b_p and (p, J, g-level) for p not
+    in I, and gives the quaternion side (p, D, n); any other p of level n adds
+    (p, M, n) to both sides.  The walk runs from the largest prime down and
+    prepends, so entries come out in increasing prime order and the subsets
+    in sorted order.  The coefficients sum to 1 exactly since a_p + b_p = 1.
+    """
+    levels = dict(data.exponents)
     last = max(data.ram)
-    steps = tuple((p, kind, level, f, g, p < last) for (p, kind, level), (_, _, f), (_, _, g)
-                  in zip(qdesc.entries, terms[principal][2].entries, terms[0][2].entries))
-    return _RelationPlan(terms, qdesc, floats, principal, steps)
+    terms = [((), Fraction(1), ())]
+    quaternion = ()
+    steps = []
+    for p in sorted(set(data.ram) | levels.keys(), reverse=True):
+        n = levels.get(p, 0)
+        if p in data.ram:
+            combo = matching_combination(p, n)
+            f_entry, g_entry = (p, OrderKind.M, combo.f_level), (p, OrderKind.J, combo.g_level)
+            terms = _double(
+                terms,
+                lambda term: ((p, *term[0]), term[1] * combo.coeff_f, (f_entry, *term[2])),
+                lambda term: (term[0], term[1] * combo.coeff_g, (g_entry, *term[2])))
+            quaternion = ((p, OrderKind.D, n), *quaternion)
+            steps.append((p, True, combo.f_level, combo.g_level, p < last))
+        else:
+            entry = (p, OrderKind.M, n)
+            terms = [(s, c, (entry, *e)) for s, c, e in terms]
+            quaternion = (entry, *quaternion)
+            steps.append((p, False, n, n, p < last))
+    coefficient_sum = sum(c for _, c, _ in terms)
+    if coefficient_sum != 1:
+        raise AssertionError("subset coefficients must sum to 1")
+    terms = tuple((s, c, GroupDescriptor(e)) for s, c, e in terms)
+    floats = tuple((c := float(c_factor(desc)), float(coeff) * c) for _, coeff, desc in terms)
+    qdesc = GroupDescriptor(quaternion)
+    # _double moves the all-f term, I = ram, from index k to k + 1
+    return _RelationPlan(terms, qdesc, tuple(reversed(steps)), coefficient_sum, floats,
+                         float(c_factor(qdesc)), len(data.ram))
 
 
 _ZERO = (0, 1)  # the ratio of a factor that no predicted term reaches
@@ -255,36 +260,28 @@ _ZERO = (0, 1)  # the ratio of a factor that no predicted term reaches
 def _trace_terms(plan: _RelationPlan, t: int):
     """([dpsi_I per Eichler term], dpsi_D, whether the identity holds) at trace t.
 
-    Each value is the one dpsi_value gives.  One walk up the primes reads each
-    local type once, and reads a ratio only where predict_dpsi would: where a
-    predicted descriptor taking it has a nonzero product over the smaller
-    primes.  Then _double, from the largest ramified prime down, forms every
-    term's ratio with one int product per term.
+    Each value is the one dpsi_value gives, and dpsi_D is predict_dpsi's.  One
+    walk up the primes reads each local type once, and reads a ratio only
+    where predict_dpsi would: where a predicted descriptor taking it has a
+    nonzero product over the smaller primes.  Then _double, from the largest
+    ramified prime down, forms every term's ratio with one int product per term.
     """
-    alive = True  # some product of Eichler ratios over the primes walked is nonzero
-    with_j = False  # ... and one has a J entry, so its terms are predicted
+    with_j = False  # some product with a J entry over the primes walked is nonzero
     num = den = 1  # the unramified primes' ratios, shared by every term
-    q_num = q_den = 1  # the quaternion side's ratio
     pairs = []  # (f ratio, g ratio) per ramified prime
-    for p, kind, level, f_level, g_level, later in plan.steps:
-        if not (alive or q_num):
-            break
+    for p, ramified, f_level, g_level, later in plan.steps:
         lt = local_type(t, p)
-        if kind is OrderKind.M:
-            n, d = local_ratio(kind, level, lt) if with_j or alive and later or q_num else _ZERO
-            if not n:
+        f = local_ratio(OrderKind.M, f_level, lt) if with_j or later else _ZERO
+        if not ramified:  # f is the ratio of every term
+            if not f[0]:
                 with_j = False
-                q_num = 0
                 break
-            num, den, q_num, q_den = num * n, den * d, q_num * n, q_den * d
+            num, den = num * f[0], den * f[1]
             continue
-        g = local_ratio(OrderKind.J, g_level, lt) if alive else _ZERO
-        f = local_ratio(OrderKind.M, f_level, lt) if with_j or alive and later else _ZERO
-        if q_num:
-            n, d = local_ratio(kind, level, lt)
-            q_num, q_den = q_num * n, q_den * d
-        with_j = with_j and f[0] != 0 or alive and g[0] != 0
-        alive = alive and (f[0] != 0 or g[0] != 0)
+        g = local_ratio(OrderKind.J, g_level, lt)
+        with_j = with_j and f[0] != 0 or g[0] != 0
+        if not (f[0] or g[0]):
+            break
         pairs.append((f, g))
     vals = [0.0] * len(plan.terms)
     if with_j:
@@ -296,10 +293,9 @@ def _trace_terms(plan: _RelationPlan, t: int):
         vals = [base * (n / d) / c if n else 0.0
                 for n, d, (c, _) in zip(nums, dens, plan.floats)]
     vals[plan.principal] = dpsi_value(plan.terms[plan.principal][2], t)[0]
-    c_q = float(c_factor(plan.qdesc))
-    dpsi_q = extract_global_constant(t) * (q_num / q_den) / c_q if q_num else 0.0
+    dpsi_q = predict_dpsi(plan.qdesc, t)
     weighted = [coeff_c * val for (_, coeff_c), val in zip(plan.floats, vals) if val]
-    gap = sum(weighted) - c_q * dpsi_q
+    gap = sum(weighted) - plan.c_q * dpsi_q
     return vals, dpsi_q, abs(gap) <= IDENTITY_TOLERANCE * sum(map(abs, weighted))
 
 
@@ -396,7 +392,7 @@ def psi_relation(data: RamifiedLevelData, x) -> PsiRelationReport:
         x=float(x),
         psi_quaternion=psi_q,
         terms=relation,
-        coefficient_sum=sum(coeff for _, coeff, _ in plan.terms),
+        coefficient_sum=plan.coefficient_sum,
         error=psi_q - float(x),
         bound_7_10=float(x) ** 0.7,
         per_trace=tuple(per_trace),

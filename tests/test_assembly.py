@@ -108,6 +108,13 @@ def test_relation_terms_match_reference(ram, levels):
     want_terms, want_quaternion = _reference_terms(data)
     assert [(subset, coeff, desc.entries) for subset, coeff, desc in terms] == want_terms
     assert qdesc.entries == want_quaternion
+    # the plan's steps: f-levels off the I = ram row, g-levels off the I = () row
+    plan = _relation_plan(data)
+    assert plan.coefficient_sum == 1
+    assert plan.terms[plan.principal][0] == data.ram
+    rows = {subset: entries for subset, _, entries in want_terms}
+    assert plan.steps == tuple((p, p in data.ram, f, g, p < max(data.ram))
+                               for (p, _, f), (_, _, g) in zip(rows[data.ram], rows[()]))
 
 
 def test_ramified_data_validation():
@@ -581,7 +588,9 @@ def test_keyed_local_factor_is_the_orbital_at_every_trace_of_its_type(p, k, u, s
 
 
 # the relation shapes of the CI workflow at x = 400, or at their CI x where that
-# is smaller: the 14-prime table at x = 400 (2^14 x 36 values) takes about 0.5 s
+# is smaller: the 14-prime table at x = 400 (2^14 x 36 values) takes about 0.5 s;
+# the shape with unramified levels on both sides at its CI x, where the first
+# nonzero values appear
 CI_RELATIONS = (
     ((2, 3), (), 400),
     ((2, 3, 5, 7), ((2, 1), (3, 1)), 400),
@@ -589,6 +598,7 @@ CI_RELATIONS = (
     ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43), (), 100),
     ((2, 3), ((2, MAX_EXPONENT),), 100),
     ((2, 11), ((2, 3),), 400),
+    ((3, 5), ((2, 1), (7, 1)), 1e5),
 )
 
 
@@ -653,32 +663,44 @@ RELATION_POOL = (
 )
 
 
+# relation shapes with an unramified level prime above, between or below the
+# ramified ones, which no RELATION_POOL entry has; at x = 2e4 the first five
+# read only zero values, the last four also nonzero ones
+UNRAMIFIED_LEVEL_SHAPES = (
+    ((2, 3), ((3, 1), (5, 1))), ((2, 3), ((2, 1), (3, 2), (7, 1))), ((3, 7), ((7, 1), (11, 1))),
+    ((2, 5), ((5, 2), (7, 1))), ((3, 5), ((2, 1), (5, 1), (7, 2))),
+    ((2, 3), ((5, 1),)), ((2, 5), ((3, 1),)), ((3, 5), ((2, 1),)), ((3, 13), ((2, 1), (5, 1))),
+)
+
+
 def test_relation_pool_builds_one_local_factor_per_local_type():
     # a cold sweep computes each (kind, level, local type) factor once, and
     # only the ones predict_dpsi would read for the predicted Eichler terms and
     # the quaternion descriptor: at each trace, the descriptor's own primes
     # in order, up to the first vanishing factor.  The sweep forms every term
-    # at once by the subset doubling, which must read no more than that
-    local_factor.cache_clear()
-    local_ratio.cache_clear()
-    datas = [RamifiedLevelData(ram, exps) for ram, exps in RELATION_POOL]
-    for data in datas:
-        psi_relation(data, 2e4)
-    misses = local_factor.cache_info().misses
-    needed = set()
-    for data in datas:
-        terms, qdesc = relation_terms(data)
-        for desc in (*(desc for _, _, desc in terms), qdesc):
-            if desc.principal_level() is not None:
-                continue
-            for t in signed_traces(3, trace_bound(2e4)):
-                for p, kind, level in desc.entries:
-                    lt = local_type(t, p)
-                    needed.update({(kind, level, lt), (OrderKind.M, 0, lt)})
-                    if local_factor(kind, level, lt) == 0:
-                        break
-    assert local_factor.cache_info().misses == misses  # the walk needed nothing new
-    assert misses == len(needed)
+    # at once by the subset doubling, which must read no more than that.  Each
+    # unramified-level shape is swept alone, so no other shape's needs hide its reads
+    for shapes in (RELATION_POOL, *((shape,) for shape in UNRAMIFIED_LEVEL_SHAPES)):
+        local_factor.cache_clear()
+        local_ratio.cache_clear()
+        datas = [RamifiedLevelData(ram, exps) for ram, exps in shapes]
+        for data in datas:
+            psi_relation(data, 2e4)
+        misses = local_factor.cache_info().misses
+        needed = set()
+        for data in datas:
+            terms, qdesc = relation_terms(data)
+            for desc in (*(desc for _, _, desc in terms), qdesc):
+                if desc.principal_level() is not None:
+                    continue
+                for t in signed_traces(3, trace_bound(2e4)):
+                    for p, kind, level in desc.entries:
+                        lt = local_type(t, p)
+                        needed.update({(kind, level, lt), (OrderKind.M, 0, lt)})
+                        if local_factor(kind, level, lt) == 0:
+                            break
+        assert local_factor.cache_info().misses == misses, shapes  # the walk needed nothing new
+        assert misses == len(needed), shapes
 
 
 @pytest.mark.parametrize("ram, exps, x", [(ram, exps, 2e4) for ram, exps in RELATION_POOL]
@@ -706,7 +728,8 @@ def _assert_doubled_values_are_per_descriptor_values(data, x):
 
 
 @pytest.mark.parametrize("ram, exps, x", [(ram, exps, 2e4) for ram, exps in RELATION_POOL]
-                         + list(CI_RELATIONS))
+                         + list(CI_RELATIONS)
+                         + [(ram, exps, 2e4) for ram, exps in UNRAMIFIED_LEVEL_SHAPES])
 def test_doubled_values_are_the_per_descriptor_values(ram, exps, x):
     # the per-trace walk shared by psi_relation and dpsi_relation forms every
     # term by the subset doubling and reads only some ratios; each value must
